@@ -8,7 +8,6 @@ use uniask_eval::report::format_metrics_table;
 use uniask_eval::runner::EvalRunner;
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     let (scale, seed) = parse_scale_args();
     eprintln!(
         "table1: building corpus ({} docs, seed {seed})...",
@@ -17,7 +16,6 @@ fn main() {
     let exp = Experiment::setup(scale, seed);
     let runner = EvalRunner::new();
 
-    let mut json_out = serde_json::Map::new();
     for (label, split) in [("Human", &exp.human), ("Keyword", &exp.keyword)] {
         let queries = eval_queries(&split.test);
         let prev = runner.run(&queries, |q| exp.prev.search(q, 50)).metrics;
@@ -30,17 +28,6 @@ fn main() {
                     .collect()
             })
             .metrics;
-        if json {
-            json_out.insert(
-                label.to_lowercase(),
-                serde_json::json!({
-                    "queries": queries.len(),
-                    "prev": prev,
-                    "uniask": uniask,
-                }),
-            );
-            continue;
-        }
         println!(
             "{}",
             format_metrics_table(
@@ -52,17 +39,6 @@ fn main() {
             "  Prev. served {:.1}% of queries; UniAsk served {:.1}%.\n",
             100.0 * prev.coverage,
             100.0 * uniask.coverage
-        );
-    }
-    if json {
-        let record = serde_json::json!({
-            "experiment": "table1",
-            "scale": { "documents": scale.documents, "seed": seed },
-            "datasets": json_out,
-        });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&record).expect("serializable")
         );
     }
 }

@@ -1,7 +1,7 @@
 //! # uniask-bench
 //!
 //! Shared harness for the paper-reproduction binaries (one per table
-//! and figure) and the criterion micro-benchmarks.
+//! and figure).
 //!
 //! [`Experiment::setup`] builds everything the evaluation section
 //! needs: the synthetic KB at the requested scale, the two query

@@ -1253,90 +1253,97 @@ mod tests {
 }
 
 #[cfg(test)]
-mod block_proptests {
-    use super::*;
-    use proptest::prelude::*;
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
 
-    /// Sorted unique doc ids with gap control: small dense gaps, large
-    /// sparse gaps, and occasional near-max gaps all appear.
-    fn docs_and_tfs() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
-        (1usize..=BLOCK_SIZE).prop_flat_map(|n| {
-            (
-                prop::collection::vec(
-                    prop_oneof![1u64..16, 1u64..4096, 1u64..=u64::from(u32::MAX / 256)],
-                    n,
-                ),
-                prop::collection::vec(
-                    prop_oneof![1u32..4, 1u32..1000, Just(u32::MAX), Just(u32::MAX - 1)],
-                    n,
-                ),
-            )
-                .prop_map(|(gaps, tfs)| {
-                    let mut docs = Vec::with_capacity(gaps.len());
-                    let mut cur = 0u64;
-                    for g in gaps {
-                        cur = (cur + g).min(u64::from(u32::MAX));
-                        docs.push(cur as u32);
-                    }
-                    docs.dedup();
-                    let n = docs.len();
-                    (docs, tfs[..n].to_vec())
-                })
-        })
+#[cfg(test)]
+mod block_properties {
+    use super::cases::check;
+    use super::*;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+
+    const CASES: u64 = 96;
+
+    /// Up to a block of sorted unique doc ids with their tfs. Gap
+    /// control: small dense gaps, large sparse gaps and occasional
+    /// near-max gaps all appear, as do `u32::MAX` tfs.
+    fn docs_and_tfs(rng: &mut impl Rng) -> (Vec<u32>, Vec<u32>) {
+        let n = rng.gen_range(1..=BLOCK_SIZE);
+        let mut docs = Vec::with_capacity(n);
+        let mut cur = 0u64;
+        for _ in 0..n {
+            let gap = match rng.gen_range(0..3) {
+                0 => rng.gen_range(1u64..16),
+                1 => rng.gen_range(1u64..4096),
+                _ => rng.gen_range(1u64..=u64::from(u32::MAX / 256)),
+            };
+            cur = (cur + gap).min(u64::from(u32::MAX));
+            docs.push(cur as u32);
+        }
+        docs.dedup();
+        let tfs = docs
+            .iter()
+            .map(|_| match rng.gen_range(0..4) {
+                0 => rng.gen_range(1u32..4),
+                1 => rng.gen_range(1u32..1000),
+                _ => *[u32::MAX, u32::MAX - 1].choose(rng).expect("non-empty"),
+            })
+            .collect();
+        (docs, tfs)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn pack_decode_is_identity((docs, tfs) in docs_and_tfs()) {
+    #[test]
+    fn pack_decode_is_identity() {
+        check(CASES, |rng| {
+            let (docs, tfs) = docs_and_tfs(rng);
             let max_tf = tfs.iter().copied().max().unwrap();
             let block = PostingBlock::pack(&docs, &tfs, max_tf, 7);
             let mut rd = Vec::new();
             let mut rt = Vec::new();
             block.decode_into(&mut rd, &mut rt);
-            prop_assert_eq!(&rd, &docs);
-            prop_assert_eq!(&rt, &tfs);
-            prop_assert_eq!(block.first_doc, docs[0]);
-            prop_assert_eq!(block.last_doc, *docs.last().unwrap());
-            prop_assert_eq!(usize::from(block.count), docs.len());
-        }
+            assert_eq!(&rd, &docs);
+            assert_eq!(&rt, &tfs);
+            assert_eq!(block.first_doc, docs[0]);
+            assert_eq!(block.last_doc, *docs.last().unwrap());
+            assert_eq!(usize::from(block.count), docs.len());
+        });
+    }
 
-        #[test]
-        fn list_push_decode_is_identity(
-            (docs, tfs) in docs_and_tfs(),
-            lens in prop::collection::vec(1u32..100, BLOCK_SIZE),
-        ) {
+    #[test]
+    fn list_push_decode_is_identity() {
+        check(CASES, |rng| {
+            let (docs, tfs) = docs_and_tfs(rng);
             let mut list = PostingList::default();
-            for (i, (&d, &t)) in docs.iter().zip(&tfs).enumerate() {
-                list.push(d, t, lens[i]);
+            for (&d, &t) in docs.iter().zip(&tfs) {
+                list.push(d, t, rng.gen_range(1u32..100));
             }
-            prop_assert_eq!(list.decoded(), (docs.clone(), tfs.clone()));
-            prop_assert_eq!(list.len(), docs.len());
-            prop_assert_eq!(list.max_tf, tfs.iter().copied().max().unwrap());
-        }
+            assert_eq!(list.decoded(), (docs.clone(), tfs.clone()));
+            assert_eq!(list.len(), docs.len());
+            assert_eq!(list.max_tf, tfs.iter().copied().max().unwrap());
+        });
+    }
 
-        #[test]
-        fn cursor_seek_agrees_with_reference(
-            (docs, tfs) in docs_and_tfs(),
-            targets in prop::collection::vec(0u32.., 8),
-        ) {
+    #[test]
+    fn cursor_seek_agrees_with_reference() {
+        check(CASES, |rng| {
+            let (docs, tfs) = docs_and_tfs(rng);
+            let mut targets: Vec<u32> = (0..8).map(|_| rng.gen()).collect();
+            targets.sort_unstable();
             let mut list = PostingList::default();
             for (&d, &t) in docs.iter().zip(&tfs) {
                 list.push(d, t, 5);
             }
-            let mut sorted = targets.clone();
-            sorted.sort_unstable();
             let mut cur = list.cursor();
-            for target in sorted {
+            for target in targets {
                 cur.seek(target);
                 let expect = docs.iter().copied().find(|&d| d >= target);
-                prop_assert_eq!(cur.current(), expect);
+                assert_eq!(cur.current(), expect);
                 if expect.is_some() {
                     let pos = docs.iter().position(|&d| Some(d) == expect).unwrap();
-                    prop_assert_eq!(cur.current_tf(), tfs[pos]);
+                    assert_eq!(cur.current_tf(), tfs[pos]);
                 }
             }
-        }
+        });
     }
 }

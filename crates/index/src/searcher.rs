@@ -1126,7 +1126,7 @@ mod tests {
 
     /// Randomized sweep pinning pruned == exhaustive bit-for-bit over
     /// corpora with skewed term distributions, deletions, filters,
-    /// boosts and every k in 1..=N+2. A larger proptest version lives
+    /// boosts and every k in 1..=N+2. A larger seeded version lives
     /// in `tests/properties.rs`; this one is dependency-free.
     #[test]
     fn pruned_matches_exhaustive_on_random_corpora() {

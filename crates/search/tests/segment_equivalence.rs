@@ -6,11 +6,14 @@
 //!
 //! The interleaving seed is extendable from the outside: the CI
 //! `segments` job runs this suite under a seed × merge-policy matrix
-//! via `SEG_EQUIV_SEED` / `SEG_EQUIV_POLICY`.
+//! via `UNIASK_TEST_SEED` / `SEG_EQUIV_POLICY`.
 //!
 //! The concurrency test at the bottom is the ThreadSanitizer target:
 //! one writer ingests/deletes/commits while a background merger
 //! compacts and reader threads query pinned snapshots.
+
+#[path = "../../../tests/support/seeds.rs"]
+mod seeds;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -167,14 +170,6 @@ fn policies() -> Vec<(MergePolicy, &'static str)> {
     all
 }
 
-fn seeds() -> Vec<u64> {
-    let mut seeds = vec![11, 29, 47];
-    if let Ok(extra) = std::env::var("SEG_EQUIV_SEED") {
-        seeds.push(extra.parse().expect("SEG_EQUIV_SEED must be a u64"));
-    }
-    seeds
-}
-
 /// Drive one seeded interleaving of upserts, deletes, commits and
 /// explicit merges through both engines, checking equivalence at every
 /// publish point.
@@ -238,7 +233,7 @@ fn run_interleaving(seed: u64, policy: MergePolicy, seal_threshold: usize) {
 
 #[test]
 fn seeded_interleavings_match_oracle_bitwise() {
-    for seed in seeds() {
+    for seed in seeds::seeds(&[11, 29, 47]) {
         for (policy, _) in policies() {
             for seal in [3, 8] {
                 run_interleaving(seed, policy, seal);

@@ -23,7 +23,7 @@ else
     echo "==> cargo-deny/cargo-audit not installed; offline checks only"
 
     echo "==> duplicate dependency versions (cargo tree -d)"
-    if dupes=$(cargo tree -d --workspace 2>/dev/null); then
+    if dupes=$(cargo tree -d --workspace --locked --offline 2>/dev/null); then
         if [ -n "$dupes" ]; then
             echo "$dupes"
             echo "note: duplicated crates above inflate build time and audit surface"

@@ -3,25 +3,28 @@
 #
 #   ./scripts/tier1.sh
 #
-# Builds the workspace in release mode, runs the full test suite, and
-# lints the whole workspace with clippy at -D warnings.
+# Builds the workspace in release mode, runs the full test suite, smokes
+# the repository benchmark (so a signature it depends on cannot change
+# unnoticed), checks the memory floors and lints the whole workspace
+# with clippy at -D warnings. Needs no network: every external crate is
+# patched to its stand-in and Cargo.lock is complete.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
-cargo build --release
+cargo build --release --locked --offline
 
 echo "==> cargo test -q"
-cargo test -q
+cargo test -q --locked --offline
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> benchmark smoke (builds against the product API, runs its correctness checks)"
+bash benchmark/run.sh --smoke
 
 echo "==> memory footprint floors (10k-doc corpus)"
-cargo test --release -q --test memory_footprint -- --ignored --nocapture
+cargo test --release -q --locked --offline --test memory_footprint -- --ignored --nocapture
 
 echo "==> cargo clippy -D warnings (workspace)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 
 echo "tier1: OK"

@@ -10,7 +10,10 @@
 //!   never saw a fault.
 //!
 //! The default matrix covers three fixed seeds; CI fans out further via
-//! the `CHAOS_SEED` environment variable.
+//! the `UNIASK_TEST_SEED` environment variable.
+
+#[path = "support/seeds.rs"]
+mod seeds;
 
 use std::sync::Arc;
 
@@ -25,17 +28,9 @@ use uniask::corpus::generator::CorpusGenerator;
 use uniask::corpus::kb::KnowledgeBase;
 use uniask::corpus::scale::CorpusScale;
 
-/// The seeds every run replays; `CHAOS_SEED=<n>` appends one more.
+/// The seeds every run replays; `UNIASK_TEST_SEED=<n>` appends one more.
 fn chaos_seeds() -> Vec<u64> {
-    let mut seeds = vec![1, 7, 42];
-    if let Ok(extra) = std::env::var("CHAOS_SEED") {
-        if let Ok(seed) = extra.trim().parse::<u64>() {
-            if !seeds.contains(&seed) {
-                seeds.push(seed);
-            }
-        }
-    }
-    seeds
+    seeds::seeds(&[1, 7, 42])
 }
 
 fn kb(seed: u64) -> KnowledgeBase {

@@ -14,7 +14,10 @@
 //!   longer WAL tail without losing data.
 //!
 //! The default matrix covers two fixed seeds; CI fans out further via
-//! the `CRASH_SEED` environment variable.
+//! the `UNIASK_TEST_SEED` environment variable.
+
+#[path = "support/seeds.rs"]
+mod seeds;
 
 use std::sync::Arc;
 
@@ -28,19 +31,6 @@ use uniask::corpus::scale::CorpusScale;
 use uniask::store::checkpoint::CheckpointConfig;
 use uniask::store::vfs::{CrashPlan, MemVfs, Vfs};
 use uniask::store::wal::WalConfig;
-
-/// The seeds every run replays; `CRASH_SEED=<n>` appends one more.
-fn crash_seeds() -> Vec<u64> {
-    let mut seeds = vec![1, 7];
-    if let Ok(extra) = std::env::var("CRASH_SEED") {
-        if let Ok(seed) = extra.trim().parse::<u64>() {
-            if !seeds.contains(&seed) {
-                seeds.push(seed);
-            }
-        }
-    }
-    seeds
-}
 
 fn config() -> UniAskConfig {
     UniAskConfig {
@@ -192,7 +182,8 @@ fn recovery_is_exact_at_every_crash_point() {
     let total_ops = clean.mutating_ops();
     assert!(total_ops > 20, "expected a rich op trace, got {total_ops}");
 
-    for seed in crash_seeds() {
+    // The seeds every run replays; `UNIASK_TEST_SEED=<n>` appends one more.
+    for seed in seeds::seeds(&[1, 7]) {
         // Op ordinals are 0-based: a plan at `total_ops` would sit past
         // the final mutating operation and never fire.
         for op in 0..total_ops {

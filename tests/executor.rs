@@ -22,8 +22,11 @@
 //! * The drain flush hook runs after the pool has been joined and its
 //!   checkpoint makes the next startup replay-free.
 //!
-//! CI fans the matrix out further via `EXECUTOR_SEED` and
+//! CI fans the matrix out further via `UNIASK_TEST_SEED` and
 //! `EXECUTOR_THREADS`.
+
+#[path = "support/seeds.rs"]
+mod seeds;
 
 use std::sync::Arc;
 
@@ -47,17 +50,9 @@ use uniask::vector::embedding::SyntheticEmbedder;
 
 use uniask::core::serving::ServingExecutor;
 
-/// The seeds every run replays; `EXECUTOR_SEED=<n>` appends one more.
+/// The seeds every run replays; `UNIASK_TEST_SEED=<n>` appends one more.
 fn executor_seeds() -> Vec<u64> {
-    let mut seeds = vec![ServingLoadTestConfig::default().seed, 7];
-    if let Ok(extra) = std::env::var("EXECUTOR_SEED") {
-        if let Ok(seed) = extra.trim().parse::<u64>() {
-            if !seeds.contains(&seed) {
-                seeds.push(seed);
-            }
-        }
-    }
-    seeds
+    seeds::seeds(&[ServingLoadTestConfig::default().seed, 7])
 }
 
 /// The worker counts every run replays; `EXECUTOR_THREADS=<n>` appends

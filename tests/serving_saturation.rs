@@ -14,7 +14,10 @@
 //! * The same seed reproduces identical admission/shed counts.
 //!
 //! The default run uses the committed seed; CI fans out further via
-//! the `SERVING_SEED` environment variable.
+//! the `UNIASK_TEST_SEED` environment variable.
+
+#[path = "support/seeds.rs"]
+mod seeds;
 
 use std::sync::Arc;
 
@@ -27,17 +30,9 @@ use uniask::search::hybrid::{ChunkRecord, HybridConfig, SearchIndex};
 use uniask::search::reranker::SemanticReranker;
 use uniask::vector::embedding::SyntheticEmbedder;
 
-/// The seeds every run replays; `SERVING_SEED=<n>` appends one more.
+/// The seeds every run replays; `UNIASK_TEST_SEED=<n>` appends one more.
 fn serving_seeds() -> Vec<u64> {
-    let mut seeds = vec![ServingLoadTestConfig::default().seed];
-    if let Ok(extra) = std::env::var("SERVING_SEED") {
-        if let Ok(seed) = extra.trim().parse::<u64>() {
-            if !seeds.contains(&seed) {
-                seeds.push(seed);
-            }
-        }
-    }
-    seeds
+    seeds::seeds(&[ServingLoadTestConfig::default().seed])
 }
 
 fn smoke(seed: u64) -> ServingLoadTestConfig {
