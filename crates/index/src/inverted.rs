@@ -593,7 +593,7 @@ impl FieldIndex {
 }
 
 /// Resident-memory accounting for an [`InvertedIndex`] — the counters
-/// the tier-1 footprint gate and `BENCH_topk.json` report.
+/// the tier-1 footprint gate reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexMemoryStats {
     /// Total postings across all fields (tombstones included).

@@ -24,17 +24,15 @@ use crate::reranker::SemanticReranker;
 
 /// Magic bytes of the composite format.
 pub const MAGIC: &[u8; 4] = b"UASX";
-/// Current format version. Version 2 appended an FNV-1a checksum
-/// trailer over the whole body so torn or bit-rotted snapshots are
-/// rejected up front instead of half-parsing; version 1 (no checksum)
-/// is no longer accepted. Version 3 persists the mutation generation
-/// (cache-invalidation epoch) so a restored index resumes *past* the
-/// saved epoch instead of resetting to 0 — pre-save cache entries can
-/// therefore never alias a post-restore index state.
+/// Format version; [`SearchIndex::load`] rejects every other version.
+///
+/// An FNV-1a checksum trailer over the whole body rejects torn or
+/// bit-rotted snapshots up front instead of half-parsing them. The
+/// mutation generation (cache-invalidation epoch) is persisted so a
+/// restored index resumes *past* the saved epoch instead of resetting
+/// to 0 — pre-save cache entries can therefore never alias a
+/// post-restore index state.
 pub const VERSION: u16 = 3;
-/// Oldest version still accepted. Version 2 snapshots load with an
-/// unknown saved generation (treated as 0, then bumped).
-pub const MIN_VERSION: u16 = 2;
 
 /// FNV-1a over `data` — same checksum the sibling codecs use.
 fn fnv64(data: &[u8]) -> u64 {
@@ -168,7 +166,7 @@ impl SearchIndex {
             return Err(PersistError::BadMagic);
         }
         let version = buf.get_u16_le();
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         // Verify the trailer before trusting any length field below:
@@ -182,16 +180,10 @@ impl SearchIndex {
             return Err(PersistError::ChecksumMismatch);
         }
         buf.truncate(body_len - 6);
-        let saved_generation = if version >= 3 {
-            if buf.remaining() < 8 {
-                return Err(PersistError::Truncated);
-            }
-            buf.get_u64_le()
-        } else {
-            // v2 never recorded the epoch; 0 is the floor, and the
-            // post-load bump below still moves strictly past it.
-            0
-        };
+        if buf.remaining() < 8 {
+            return Err(PersistError::Truncated);
+        }
+        let saved_generation = buf.get_u64_le();
         let index_section = get_section(&mut buf)?;
         let title_section = get_section(&mut buf)?;
         let content_section = get_section(&mut buf)?;
@@ -413,18 +405,20 @@ mod tests {
 
     #[test]
     fn version_below_minimum_is_rejected() {
-        let mut old = sample().save().to_vec();
-        old[4] = 1; // version word (LE) → v1
-        old[5] = 0;
-        // Re-seal the trailer so the version check (not the checksum)
-        // is what rejects it.
-        let body_len = old.len() - 8;
-        let sum = fnv64(&old[..body_len]).to_le_bytes();
-        old[body_len..].copy_from_slice(&sum);
-        assert_eq!(
-            SearchIndex::load(&old, embedder(), SemanticReranker::default()).unwrap_err(),
-            PersistError::UnsupportedVersion(1)
-        );
+        let snapshot = sample().save();
+        for version in [1u16, 2] {
+            let mut old = snapshot.to_vec();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            // Re-seal the trailer so the version check (not the checksum)
+            // is what rejects it.
+            let body_len = old.len() - 8;
+            let sum = fnv64(&old[..body_len]).to_le_bytes();
+            old[body_len..].copy_from_slice(&sum);
+            assert_eq!(
+                SearchIndex::load(&old, embedder(), SemanticReranker::default()).unwrap_err(),
+                PersistError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Exhaustive corruption fuzzing of the composite `UASX` snapshot.
 //!
-//! Version 2 added a checksum trailer precisely so this sweep holds:
-//! flipping any single byte of a saved index, or truncating it at any
+//! Flipping any single byte of a saved index, or truncating it at any
 //! offset, must yield a load `Err` — never a panic and never a
-//! silently accepted (and subtly wrong) retrieval state.
+//! silently accepted (and subtly wrong) retrieval state. The checksum
+//! trailer over the whole body is what makes this sweep hold.
 
 use std::sync::Arc;
 

@@ -30,7 +30,7 @@
 //! The codebook is fitted with a slack margin and refitted (all codes
 //! rebuilt) when an insert falls outside the covered range, so the code
 //! arena is always a function of the insertion history — deterministic,
-//! and reproducible from a snapshot.
+//! and carried verbatim by a snapshot.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -58,8 +58,9 @@ pub struct HnswParams {
     /// edges across clusters and improves recall on clustered data.
     pub heuristic_selection: bool,
     /// Traverse the graph on SQ8 quantized codes (integer kernel) and
-    /// re-rank the final beam with full-precision `f32`. Automatically
-    /// disabled when vectors of mixed dimensionality are inserted.
+    /// re-rank the final beam with full-precision `f32`. Switched off
+    /// for good by the first insert whose dimension differs from the
+    /// quantized vectors'.
     pub sq8: bool,
 }
 
@@ -350,8 +351,8 @@ impl Hnsw {
         }
     }
 
-    /// Maintain the SQ8 arena for the vector just pushed at `internal`.
-    fn sq8_note_insert(&mut self, internal: usize) {
+    /// Maintain the SQ8 arena for the vector just pushed (the last node).
+    fn sq8_note_insert(&mut self) {
         if !self.params.sq8 {
             return;
         }
@@ -360,6 +361,7 @@ impl Hnsw {
             Append,
             Refit,
         }
+        let internal = self.nodes.len() - 1;
         let dim = self.nodes[internal].vector.len();
         let action = match &self.sq8 {
             Some(state) if state.dim != dim => Action::Disable,
@@ -380,19 +382,16 @@ impl Hnsw {
                 } = state;
                 codebook.encode_into(&self.nodes[internal].vector, codes);
             }
-            Action::Refit => self.sq8_refit(dim, internal + 1),
+            Action::Refit => self.sq8_refit(dim),
         }
     }
 
-    /// Refit the codebook over the first `upto` stored vectors and
-    /// rebuild the code arena for them. Bounding the fit at the
-    /// triggering insert (rather than `nodes.len()`) keeps snapshot
-    /// replay byte-identical to the original incremental build.
-    fn sq8_refit(&mut self, dim: usize, upto: usize) {
-        let rows = &self.nodes[..upto];
-        let codebook = Sq8Codebook::fit(rows.iter().map(|n| n.vector.as_slice()), dim);
-        let mut codes = Vec::with_capacity(rows.len() * dim);
-        for node in rows {
+    /// Refit the codebook over every stored vector and rebuild the code
+    /// arena for them.
+    fn sq8_refit(&mut self, dim: usize) {
+        let codebook = Sq8Codebook::fit(self.nodes.iter().map(|n| n.vector.as_slice()), dim);
+        let mut codes = Vec::with_capacity(self.nodes.len() * dim);
+        for node in &self.nodes {
             codebook.encode_into(&node.vector, &mut codes);
         }
         self.sq8 = Some(Sq8State {
@@ -400,23 +399,6 @@ impl Hnsw {
             dim,
             codes,
         });
-    }
-
-    /// Rebuild the quantization state by replaying every stored vector
-    /// through the insert-time maintenance path, reproducing exactly
-    /// the state an uninterrupted build would hold. Used when migrating
-    /// v1 snapshots (which carry no quantization state).
-    pub(crate) fn sq8_rebuild_by_replay(&mut self) {
-        self.sq8 = None;
-        if !self.params.sq8 {
-            return;
-        }
-        for i in 0..self.nodes.len() {
-            if !self.params.sq8 {
-                return;
-            }
-            self.sq8_note_insert(i);
-        }
     }
 
     fn sample_level(&mut self) -> usize {
@@ -665,7 +647,7 @@ impl VectorIndex for Hnsw {
             vector,
             neighbors: vec![Vec::new(); level + 1],
         });
-        self.sq8_note_insert(self.nodes.len() - 1);
+        self.sq8_note_insert();
         let Some(mut ep) = self.entry_point else {
             self.entry_point = Some(internal);
             self.max_level = level;
@@ -967,20 +949,26 @@ mod sq8_tests {
         let mut h = Hnsw::new(HnswParams::default());
         h.add(0, vec![1.0, 0.0]);
         assert!(h.is_quantized());
-        // Heterogeneous dimensions can only enter through a decoded
-        // legacy snapshot (graph traversal rejects them at insert);
-        // emulate one by planting a node and replaying.
+        // A mismatched vector would trip the f32 kernel's dimension
+        // assertion during graph insertion, so plant the node and run
+        // the insert-time quantization step on it directly.
         h.nodes.push(Node {
             id: 1,
             vector: vec![1.0, 0.0, 0.0],
             neighbors: vec![Vec::new()],
         });
-        h.sq8_rebuild_by_replay();
+        h.sq8_note_insert();
         assert!(!h.is_quantized());
         assert!(!h.params.sq8);
         assert!(h.sq8.is_none());
-        // Replaying again doesn't resurrect the state.
-        h.sq8_rebuild_by_replay();
+        // A later same-dimension insert doesn't resurrect the state.
+        h.nodes.push(Node {
+            id: 2,
+            vector: vec![0.0, 1.0],
+            neighbors: vec![Vec::new()],
+        });
+        h.sq8_note_insert();
+        assert!(!h.params.sq8);
         assert!(h.sq8.is_none());
     }
 
@@ -1074,18 +1062,6 @@ mod sq8_tests {
         );
         assert!(stats.compression_ratio() >= 2.0, "{stats:?}");
         assert!(stats.traversal_bytes() < stats.vectors_f32_bytes + stats.graph_bytes);
-    }
-
-    #[test]
-    fn replay_reproduces_incremental_state() {
-        let vectors = random_vectors(120, 8, 21);
-        let mut h = Hnsw::new(HnswParams::default());
-        for (i, v) in vectors.iter().enumerate() {
-            h.add(i as u32, v.clone());
-        }
-        let live = h.sq8.clone();
-        h.sq8_rebuild_by_replay();
-        assert_eq!(h.sq8, live, "replay must reproduce the exact state");
     }
 }
 

@@ -11,13 +11,10 @@
 //! sequence it would have produced uninterrupted — snapshots are
 //! transparent to determinism.
 //!
-//! Version 2 adds the SQ8 quantization state: the `sq8` parameter
-//! flag, and (when active) the per-dimension codebook plus the code
-//! arena verbatim, so a restored index resumes quantized traversal
-//! with the exact codes the live index held. Version 1 snapshots are
-//! migrated forward by replaying the stored vectors through the
-//! insert-time quantization path (deterministic, identical to an
-//! uninterrupted build over the same insertion order).
+//! The SQ8 quantization state travels too: the `sq8` parameter flag,
+//! and (when active) the per-dimension codebook plus the code arena
+//! verbatim, so a restored index resumes quantized traversal with the
+//! exact codes the live index held.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::SeedableRng;
@@ -27,10 +24,8 @@ use crate::hnsw::{Hnsw, HnswParams, Node, Sq8Codebook, Sq8State};
 
 /// Magic bytes of the vector-snapshot format.
 pub const MAGIC: &[u8; 4] = b"UAVX";
-/// Current format version.
+/// Format version; [`decode`] rejects every other version.
 pub const VERSION: u16 = 2;
-/// Oldest readable format version.
-pub const MIN_VERSION: u16 = 1;
 
 /// Errors raised while decoding a vector snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,23 +149,18 @@ pub fn decode(snapshot: &[u8]) -> Result<Hnsw, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = buf.get_u16_le();
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    need!(buf, 4 * 3 + 8 + 1 + 4 + 1);
-    let mut params = HnswParams {
+    need!(buf, 4 * 3 + 8 + 1 + 1 + 4 + 1);
+    let params = HnswParams {
         m: buf.get_u32_le() as usize,
         ef_construction: buf.get_u32_le() as usize,
         ef_search: buf.get_u32_le() as usize,
         seed: buf.get_u64_le(),
         heuristic_selection: buf.get_u8() == 1,
-        // v1 predates quantization; default on, rebuilt by replay below.
-        sq8: true,
+        sq8: buf.get_u8() == 1,
     };
-    if version >= 2 {
-        need!(buf, 1);
-        params.sq8 = buf.get_u8() == 1;
-    }
     let max_level = buf.get_u32_le() as usize;
     let entry_point = if buf.get_u8() == 1 {
         need!(buf, 4);
@@ -209,43 +199,39 @@ pub fn decode(snapshot: &[u8]) -> Result<Hnsw, SnapshotError> {
             neighbors,
         });
     }
-    // SQ8 state: verbatim in v2, rebuilt by replay for v1.
-    let sq8 = if version >= 2 {
-        need!(buf, 1);
-        if buf.get_u8() == 1 {
-            need!(buf, 4);
-            let dim = buf.get_u32_le() as usize;
-            if dim > (1 << 24) {
-                return Err(SnapshotError::Truncated);
-            }
-            need!(buf, dim * 8);
-            let mut min = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                min.push(buf.get_f32_le());
-            }
-            let mut step = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                step.push(buf.get_f32_le());
-            }
-            let ncodes = nodes.len() * dim;
-            need!(buf, ncodes);
-            let mut codes = vec![0u8; ncodes];
-            buf.copy_to_slice(&mut codes);
-            Some(Sq8State {
-                codebook: Sq8Codebook { min, step },
-                dim,
-                codes,
-            })
-        } else {
-            None
+    // SQ8 state: codebook + code arena verbatim.
+    need!(buf, 1);
+    let sq8 = if buf.get_u8() == 1 {
+        need!(buf, 4);
+        let dim = buf.get_u32_le() as usize;
+        if dim > (1 << 24) {
+            return Err(SnapshotError::Truncated);
         }
+        need!(buf, dim * 8);
+        let mut min = Vec::with_capacity(dim);
+        for _ in 0..dim {
+            min.push(buf.get_f32_le());
+        }
+        let mut step = Vec::with_capacity(dim);
+        for _ in 0..dim {
+            step.push(buf.get_f32_le());
+        }
+        let ncodes = nodes.len() * dim;
+        need!(buf, ncodes);
+        let mut codes = vec![0u8; ncodes];
+        buf.copy_to_slice(&mut codes);
+        Some(Sq8State {
+            codebook: Sq8Codebook { min, step },
+            dim,
+            codes,
+        })
     } else {
         None
     };
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
     rng.set_word_pos(word_pos);
     let ml = 1.0 / (params.m.max(2) as f64).ln();
-    let mut index = Hnsw {
+    Ok(Hnsw {
         params,
         nodes,
         entry_point,
@@ -253,11 +239,7 @@ pub fn decode(snapshot: &[u8]) -> Result<Hnsw, SnapshotError> {
         rng,
         ml,
         sq8,
-    };
-    if version < 2 {
-        index.sq8_rebuild_by_replay();
-    }
-    Ok(index)
+    })
 }
 
 #[cfg(test)]
@@ -341,63 +323,22 @@ mod tests {
         assert_eq!(encode(&sample(100)), encode(&sample(100)));
     }
 
-    /// Serialize in the legacy v1 layout (no quantization section).
-    /// Only used to test the forward migration.
-    fn encode_v1(index: &Hnsw) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(4096 + index.nodes.len() * 64);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(1);
-        let p = index.params;
-        buf.put_u32_le(p.m as u32);
-        buf.put_u32_le(p.ef_construction as u32);
-        buf.put_u32_le(p.ef_search as u32);
-        buf.put_u64_le(p.seed);
-        buf.put_u8(u8::from(p.heuristic_selection));
-        buf.put_u32_le(index.max_level as u32);
-        match index.entry_point {
-            Some(ep) => {
-                buf.put_u8(1);
-                buf.put_u32_le(ep);
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_u128_le(index.rng.get_word_pos());
-        buf.put_u32_le(index.nodes.len() as u32);
-        for node in &index.nodes {
-            buf.put_u32_le(node.id);
-            buf.put_u32_le(node.vector.len() as u32);
-            for &x in &node.vector {
-                buf.put_f32_le(x);
-            }
-            buf.put_u16_le(node.neighbors.len() as u16);
-            for layer in &node.neighbors {
-                buf.put_u32_le(layer.len() as u32);
-                for &nb in layer {
-                    buf.put_u32_le(nb);
-                }
-            }
-        }
-        let checksum = fnv64(&buf);
-        buf.put_u64_le(checksum);
-        buf.to_vec()
-    }
-
     #[test]
-    fn legacy_v1_snapshot_migrates_and_enables_quantization() {
-        let original = sample(200);
-        let migrated = decode(&encode_v1(&original)).unwrap();
-        assert_eq!(migrated.len(), original.len());
-        // Migration rebuilds the quantization state by replay, so it
-        // matches the state the live (default-params) build holds.
-        assert!(migrated.is_quantized());
-        assert_eq!(migrated.sq8, original.sq8, "replayed state must match");
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        for _ in 0..10 {
-            let mut q: Vec<f32> = (0..16).map(|_| rng.gen::<f32>() - 0.5).collect();
-            normalize(&mut q);
-            let a: Vec<u32> = original.search(&q, 10).into_iter().map(|n| n.id).collect();
-            let b: Vec<u32> = migrated.search(&q, 10).into_iter().map(|n| n.id).collect();
-            assert_eq!(a, b, "divergence after v1 migration");
+    fn unsupported_version_is_detected() {
+        let snapshot = encode(&sample(20));
+        for version in [0u16, 1, 3] {
+            let mut bad = snapshot.to_vec();
+            bad[4..6].copy_from_slice(&version.to_le_bytes());
+            // Re-seal the trailer so the version check (not the
+            // checksum) is what rejects it.
+            let plen = bad.len() - 8;
+            let crc = fnv64(&bad[..plen]);
+            bad[plen..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                decode(&bad).unwrap_err(),
+                SnapshotError::UnsupportedVersion(version),
+                "version {version}"
+            );
         }
     }
 

@@ -18,6 +18,13 @@ cargo build --release --locked --offline
 echo "==> cargo test -q"
 cargo test -q --locked --offline
 
+# benchmark/run.sh builds without --locked, so a change to a product
+# crate's [dependencies] would silently rewrite the tracked
+# benchmark/Cargo.lock during the smoke below. Build it locked first so
+# such a change fails here instead.
+echo "==> benchmark build (--locked against benchmark/Cargo.lock)"
+cargo build --release --locked --offline --manifest-path benchmark/Cargo.toml --bin bench
+
 echo "==> benchmark smoke (builds against the product API, runs its correctness checks)"
 bash benchmark/run.sh --smoke
 
