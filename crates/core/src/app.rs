@@ -20,17 +20,16 @@ use uniask_llm::chat::{ChatRequest, ChatResponse};
 use uniask_llm::error::LlmError;
 use uniask_llm::model::{ChatModel, SimLlm};
 use uniask_llm::prompt::{ContextChunk, PromptBuilder};
-use uniask_llm::service::LlmService;
-use uniask_search::hybrid::{SearchHit, SearchIndex};
+use uniask_search::hybrid::{HybridConfig, SearchHit, SearchIndex};
 use uniask_search::reranker::SemanticReranker;
-use uniask_vector::embedding::SyntheticEmbedder;
+use uniask_vector::embedding::{Embedder, SyntheticEmbedder};
 
 use crate::config::UniAskConfig;
 use crate::indexing::IndexingService;
 use crate::ingestion::IngestMessage;
 use crate::monitoring::Monitoring;
 use crate::resilience::{
-    extractive_fallback, Degradation, FaultPlan, FaultPoint, PlanLlmHook, PlanSearchHook,
+    extractive_fallback, Degradation, FaultPlan, FaultPoint, PlanSearchHook, ResilienceConfig,
     ResilienceState,
 };
 
@@ -95,7 +94,7 @@ pub struct AskResponse {
     /// The context chunks that were passed to the LLM.
     pub context: Vec<ContextChunk>,
     /// Which parts of the pipeline were degraded while serving this
-    /// response (all-false on the non-resilient path).
+    /// response (all-false while every dependency is healthy).
     pub degradation: Degradation,
 }
 
@@ -103,17 +102,14 @@ pub struct AskResponse {
 pub struct UniAsk {
     config: UniAskConfig,
     index: SearchIndex,
-    llm: Arc<SimLlm>,
-    /// Optional hosting-service envelope around the model.
-    service: Option<LlmService<Arc<SimLlm>>>,
+    llm: SimLlm,
     clock: crate::clock::SimClock,
     prompt: PromptBuilder,
     guardrails: GuardrailChain,
     fact_check: Option<FactCheckGuardrail>,
     indexing: IndexingService,
-    /// Resilience state (breakers, retry seeds, armed fault plan);
-    /// `None` runs the plain fail-fast path.
-    resilience: Option<ResilienceState>,
+    /// Resilience state (breakers, retry seeds, armed fault plan).
+    resilience: ResilienceState,
     /// Monitoring collector (shared with the backend).
     pub monitoring: Arc<Monitoring>,
 }
@@ -127,52 +123,73 @@ impl std::fmt::Debug for UniAsk {
 }
 
 impl UniAsk {
-    /// Build an empty system from configuration. The vocabulary's
-    /// synonym table wires the embedder, the reranker and the simulated
-    /// LLM exactly as the production models would be shared.
+    /// Build an empty system from configuration.
     pub fn new(config: UniAskConfig) -> Self {
-        let vocab = Arc::new(Vocabulary::new());
-        let normalizer = Arc::new(SynonymNormalizer::new(Arc::clone(&vocab)));
+        match Self::assemble(config, |embedder, reranker| {
+            Ok::<_, std::convert::Infallible>(SearchIndex::new(embedder, reranker))
+        }) {
+            Ok(app) => app,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Rebuild a system from `config` and a snapshot produced by
+    /// [`UniAsk::save_index`] under the *same* configuration (embedding
+    /// dimension and seed must match, or similarities degrade).
+    pub fn from_snapshot(
+        config: UniAskConfig,
+        snapshot: &[u8],
+    ) -> Result<Self, uniask_search::persistence::PersistError> {
+        Self::assemble(config, |embedder, reranker| {
+            SearchIndex::load(snapshot, embedder, reranker)
+        })
+    }
+
+    /// Serialize the retrieval state (index + vectors + chunk table)
+    /// for a warm restart. The configuration itself is code, not data.
+    pub fn save_index(&self) -> bytes::Bytes {
+        self.index.save()
+    }
+
+    /// Assemble a system around the index `build_index` makes from the
+    /// configured embedder and reranker. The vocabulary's synonym table
+    /// wires the embedder, the reranker and the simulated LLM exactly
+    /// as the production models would be shared.
+    fn assemble<E>(
+        config: UniAskConfig,
+        build_index: impl FnOnce(Arc<dyn Embedder>, SemanticReranker) -> Result<SearchIndex, E>,
+    ) -> Result<Self, E> {
+        let normalizer = Arc::new(SynonymNormalizer::new(Arc::new(Vocabulary::new())));
         let embedder = Arc::new(SyntheticEmbedder::with_normalizer(
             config.embedding_dim,
             config.seed,
             normalizer.clone(),
         ));
-        let reranker = SemanticReranker::new(normalizer.clone());
-        let mut index = SearchIndex::new(embedder, reranker);
+        let mut index = build_index(embedder, SemanticReranker::new(normalizer.clone()))?;
         if let Some(cache) = config.query_cache {
             index.enable_cache(cache);
         }
-        let llm = Arc::new(SimLlm::with_normalizer(config.llm, normalizer));
-        let service = config
-            .llm_service
-            .map(|svc| LlmService::new(Arc::clone(&llm), svc));
-        let guardrails = GuardrailChain {
-            rouge: RougeGuardrail::new(config.rouge_threshold),
-            ..GuardrailChain::new()
-        };
-        let indexing = IndexingService::new(
-            config.chunk_max_tokens,
-            config.enrichment,
-            config.summary_sentences,
-        );
-        let fact_check = config
-            .enable_fact_check
-            .then(|| FactCheckGuardrail::new(FactStore::new()));
-        let resilience = config.resilience.clone().map(ResilienceState::new);
-        UniAsk {
+        Ok(UniAsk {
             prompt: PromptBuilder::new(config.context_chunks),
+            llm: SimLlm::with_normalizer(config.llm, normalizer),
+            guardrails: GuardrailChain {
+                rouge: RougeGuardrail::new(config.rouge_threshold),
+                ..GuardrailChain::new()
+            },
+            indexing: IndexingService::new(
+                config.chunk_max_tokens,
+                config.enrichment,
+                config.summary_sentences,
+            ),
+            fact_check: config
+                .enable_fact_check
+                .then(|| FactCheckGuardrail::new(FactStore::new())),
             config,
             index,
-            llm,
-            service,
             clock: crate::clock::SimClock::new(),
-            guardrails,
-            fact_check,
-            indexing,
-            resilience,
+            resilience: ResilienceState::new(ResilienceConfig::default()),
             monitoring: Arc::new(Monitoring::new()),
-        }
+        })
     }
 
     /// Bulk-ingest a knowledge base (initial index build).
@@ -246,14 +263,156 @@ impl UniAsk {
         self.index.search_documents(query, &self.config.hybrid)
     }
 
-    /// The full query flow of Sections 4–6. With a resilience
-    /// configuration attached, retrieval and generation survive partial
-    /// dependency failures through retries, circuit breakers and the
-    /// degradation ladder; without one, dependency errors fail fast.
+    /// The full query flow of Sections 4–6, hardened by the resilience
+    /// layer: breaker-gated degraded retrieval, retried generation under
+    /// a deadline budget, and the extractive fallback before a
+    /// dependency error surfaces. With no fault plan armed every breaker
+    /// stays closed and no retry fires, so this is the plain pipeline.
     pub fn ask(&self, question: &str) -> AskResponse {
-        match &self.resilience {
-            Some(state) => self.ask_resilient(question, state),
-            None => self.ask_direct(question),
+        let state = &self.resilience;
+        let mut degradation = Degradation::default();
+
+        // Pre-generation: content filter on the question.
+        if let Verdict::Blocked { kind, reason } = self.guardrails.check_question(question) {
+            self.monitoring.record_guardrail(kind);
+            // The user still gets the document list.
+            let documents = self.search(question);
+            return AskResponse {
+                question: question.to_string(),
+                generation: GenerationOutcome::GuardrailBlocked {
+                    kind,
+                    message: reason,
+                },
+                documents,
+                context: Vec::new(),
+                degradation,
+            };
+        }
+
+        // Retrieval, rung 1 of the ladder: an open vector breaker (or a
+        // vector-leg fault caught by the hook) narrows the pipeline to
+        // the surviving legs instead of failing the query.
+        let narrowed;
+        let mut hybrid = &self.config.hybrid;
+        if hybrid.use_vector && !state.vector_breaker.allow(self.clock.now()) {
+            narrowed = HybridConfig {
+                use_vector: false,
+                ..hybrid.clone()
+            };
+            hybrid = &narrowed;
+            degradation.vector_leg = true;
+        }
+        let result = self.index.search_resilient(question, hybrid);
+        if hybrid.use_vector {
+            if result.failed.vector() {
+                degradation.vector_leg = true;
+                if state.vector_breaker.record_failure(self.clock.now()) {
+                    self.monitoring.record_breaker_open();
+                }
+            } else {
+                state.vector_breaker.record_success(self.clock.now());
+            }
+        }
+        degradation.text_leg = result.failed.text;
+        degradation.reranker = result.failed.reranker;
+        // Chunk-level hits feed the context; the displayed list is
+        // document-level.
+        let chunk_hits = result.hits;
+        let documents = self.dedup_documents(&chunk_hits);
+        let context = self.build_context(&chunk_hits);
+
+        // Generation: jittered-backoff retries on the simulated clock,
+        // under the per-request deadline and the LLM breaker. Only
+        // dependency errors (rate limits, outages) count against the
+        // breaker and are retried; a request error such as an
+        // over-long prompt fails this request alone.
+        let request = self.prompt.build(question, &context);
+        let deadline = self.clock.now() + state.config.deadline_secs;
+        let request_id = state.next_request_id();
+        let mut rng: Option<ChaCha8Rng> = None;
+        let mut attempt: u32 = 0;
+        let outcome = loop {
+            if !state.llm_breaker.allow(self.clock.now()) {
+                break Err(LlmError::ServiceUnavailable);
+            }
+            let error = match self.complete_once(&request) {
+                Ok(response) => {
+                    state.llm_breaker.record_success(self.clock.now());
+                    break Ok(response);
+                }
+                Err(error) if error.is_retryable() => error,
+                Err(error) => break Err(error),
+            };
+            if state.llm_breaker.record_failure(self.clock.now()) {
+                self.monitoring.record_breaker_open();
+            }
+            if attempt >= state.config.retry.max_retries {
+                break Err(error);
+            }
+            let hint = match &error {
+                LlmError::RateLimited { retry_after_secs } => Some(*retry_after_secs),
+                _ => None,
+            };
+            let rng = rng.get_or_insert_with(|| {
+                ChaCha8Rng::seed_from_u64(
+                    state
+                        .config
+                        .seed
+                        .wrapping_add(request_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                )
+            });
+            let delay = state.config.retry.delay_secs(attempt, rng, hint);
+            if self.clock.now() + delay > deadline {
+                break Err(error);
+            }
+            self.clock.advance(delay);
+            self.monitoring.record_retry();
+            attempt += 1;
+        };
+        degradation.llm_retries = attempt;
+
+        let generation = match outcome {
+            Ok(response) => self.check_generated(&response.message.content, &context),
+            Err(error) => {
+                // Rung 2: the LLM is out — serve the guardrail-approved
+                // extractive answer instead of an error while retrieval
+                // still produced context. A request error gets none.
+                let fallback = error
+                    .is_retryable()
+                    .then(|| extractive_fallback(&context))
+                    .flatten()
+                    .and_then(|text| match self.guardrails.check_answer(&text, &context) {
+                        ChainOutcome::Delivered { answer } => Some(answer),
+                        ChainOutcome::Invalidated { .. } => None,
+                    });
+                match fallback {
+                    Some(answer) => {
+                        degradation.llm_fallback = true;
+                        self.monitoring.record_llm_fallback();
+                        let citations = uniask_llm::citation::extract_citations(&answer);
+                        GenerationOutcome::Fallback {
+                            text: answer,
+                            citations,
+                        }
+                    }
+                    None => {
+                        self.monitoring.record_failure();
+                        GenerationOutcome::ServiceError {
+                            error: error.to_string(),
+                        }
+                    }
+                }
+            }
+        };
+        if degradation.is_degraded() {
+            self.monitoring.record_degraded();
+        }
+        AskResponse {
+            question: question.to_string(),
+            generation,
+            documents,
+            context,
+            degradation,
         }
     }
 
@@ -310,244 +469,23 @@ impl UniAsk {
         }
     }
 
-    /// The fail-fast query flow (no resilience layer).
-    fn ask_direct(&self, question: &str) -> AskResponse {
-        // Pre-generation: content filter on the question.
-        if let Verdict::Blocked { kind, reason } = self.guardrails.check_question(question) {
-            self.monitoring.record_guardrail(kind);
-            // The user still gets the document list.
-            let documents = self.search(question);
-            return AskResponse {
-                question: question.to_string(),
-                generation: GenerationOutcome::GuardrailBlocked {
-                    kind,
-                    message: reason,
-                },
-                documents,
-                context: Vec::new(),
-                degradation: Degradation::default(),
-            };
-        }
-
-        // Retrieval: chunk-level hits feed the context; the displayed
-        // list is document-level.
-        let chunk_hits = self.index.search(question, &self.config.hybrid);
-        let documents = self.dedup_documents(&chunk_hits);
-        let context = self.build_context(&chunk_hits);
-
-        // Generation, through the hosting-service envelope when one is
-        // configured: one bounded retry after the advertised wait (the
-        // backend's policy for transient rate limits).
-        let request = self.prompt.build(question, &context);
-        let result = match &self.service {
-            None => self.llm.complete(&request),
-            Some(service) => {
-                let now = self.clock.now();
-                match service.complete_at(&request, now) {
-                    Ok(timed) => {
-                        self.clock.advance(timed.latency_secs);
-                        Ok(timed.response)
-                    }
-                    Err(LlmError::RateLimited { retry_after_secs }) if retry_after_secs <= 5.0 => {
-                        self.clock.advance(retry_after_secs + 1e-3);
-                        service
-                            .complete_at(&request, self.clock.now())
-                            .map(|timed| {
-                                self.clock.advance(timed.latency_secs);
-                                timed.response
-                            })
-                    }
-                    Err(e) => Err(e),
-                }
+    /// One LLM completion attempt. The armed fault plan, if any, may
+    /// fail the call or delay it on the simulated clock first.
+    fn complete_once(&self, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
+        if let Some(plan) = self.resilience.plan() {
+            let delay = plan
+                .check(FaultPoint::LlmComplete)
+                .map_err(|_| LlmError::ServiceUnavailable)?;
+            if delay > 0.0 {
+                self.clock.advance(delay);
             }
-        };
-        let generation = match result {
-            Ok(response) => self.check_generated(&response.message.content, &context),
-            Err(e) => {
-                self.monitoring.record_failure();
-                GenerationOutcome::ServiceError {
-                    error: e.to_string(),
-                }
-            }
-        };
-        AskResponse {
-            question: question.to_string(),
-            generation,
-            documents,
-            context,
-            degradation: Degradation::default(),
         }
+        self.llm.complete(request)
     }
 
-    /// One LLM completion attempt, advancing the simulated clock by the
-    /// modelled latency. Without a service envelope the armed fault
-    /// plan (if any) is consulted directly.
-    fn complete_once(
-        &self,
-        state: &ResilienceState,
-        request: &ChatRequest,
-    ) -> Result<ChatResponse, LlmError> {
-        match &self.service {
-            Some(service) => {
-                let timed = service.complete_at(request, self.clock.now())?;
-                self.clock.advance(timed.latency_secs);
-                Ok(timed.response)
-            }
-            None => {
-                if let Some(plan) = state.plan() {
-                    match plan.check(FaultPoint::LlmComplete) {
-                        Err(_) => return Err(LlmError::ServiceUnavailable),
-                        Ok(delay) => {
-                            if delay > 0.0 {
-                                self.clock.advance(delay);
-                            }
-                        }
-                    }
-                }
-                self.llm.complete(request)
-            }
-        }
-    }
-
-    /// The query flow hardened by the resilience layer: breaker-gated
-    /// degraded retrieval, retried generation under a deadline budget,
-    /// and the extractive fallback before any error surfaces.
-    fn ask_resilient(&self, question: &str, state: &ResilienceState) -> AskResponse {
-        let mut degradation = Degradation::default();
-
-        if let Verdict::Blocked { kind, reason } = self.guardrails.check_question(question) {
-            self.monitoring.record_guardrail(kind);
-            let documents = self.search(question);
-            return AskResponse {
-                question: question.to_string(),
-                generation: GenerationOutcome::GuardrailBlocked {
-                    kind,
-                    message: reason,
-                },
-                documents,
-                context: Vec::new(),
-                degradation,
-            };
-        }
-
-        // Retrieval, rung 1 of the ladder: an open vector breaker (or a
-        // vector-leg fault caught by the hook) narrows the pipeline to
-        // the surviving legs instead of failing the query.
-        let mut hybrid = self.config.hybrid.clone();
-        if hybrid.use_vector && !state.vector_breaker.allow(self.clock.now()) {
-            hybrid.use_vector = false;
-            degradation.vector_leg = true;
-        }
-        let result = self.index.search_resilient(question, &hybrid);
-        if hybrid.use_vector {
-            if result.failed.vector() {
-                degradation.vector_leg = true;
-                if state.vector_breaker.record_failure(self.clock.now()) {
-                    self.monitoring.record_breaker_open();
-                }
-            } else {
-                state.vector_breaker.record_success(self.clock.now());
-            }
-        }
-        degradation.text_leg = result.failed.text;
-        degradation.reranker = result.failed.reranker;
-        let chunk_hits = result.hits;
-        let documents = self.dedup_documents(&chunk_hits);
-        let context = self.build_context(&chunk_hits);
-
-        // Generation: jittered-backoff retries on the simulated clock,
-        // under the per-request deadline and the LLM breaker.
-        let request = self.prompt.build(question, &context);
-        let deadline = self.clock.now() + state.config.deadline_secs;
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            state
-                .config
-                .seed
-                .wrapping_add(state.next_request_id().wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        let mut attempt: u32 = 0;
-        let outcome = loop {
-            if !state.llm_breaker.allow(self.clock.now()) {
-                break Err(LlmError::ServiceUnavailable);
-            }
-            match self.complete_once(state, &request) {
-                Ok(response) => {
-                    state.llm_breaker.record_success(self.clock.now());
-                    break Ok(response);
-                }
-                Err(error) => {
-                    if state.llm_breaker.record_failure(self.clock.now()) {
-                        self.monitoring.record_breaker_open();
-                    }
-                    let retryable = matches!(
-                        error,
-                        LlmError::RateLimited { .. } | LlmError::ServiceUnavailable
-                    );
-                    if !retryable || attempt >= state.config.retry.max_retries {
-                        break Err(error);
-                    }
-                    let hint = match &error {
-                        LlmError::RateLimited { retry_after_secs } => Some(*retry_after_secs),
-                        _ => None,
-                    };
-                    let delay = state.config.retry.delay_secs(attempt, &mut rng, hint);
-                    if self.clock.now() + delay > deadline {
-                        break Err(error);
-                    }
-                    self.clock.advance(delay);
-                    self.monitoring.record_retry();
-                    attempt += 1;
-                }
-            }
-        };
-        degradation.llm_retries = attempt;
-
-        let generation = match outcome {
-            Ok(response) => self.check_generated(&response.message.content, &context),
-            // Rung 2: the LLM is out — serve the guardrail-approved
-            // extractive answer instead of an error while retrieval
-            // still produced context.
-            Err(error) => match extractive_fallback(&context) {
-                Some(text) => match self.guardrails.check_answer(&text, &context) {
-                    ChainOutcome::Delivered { answer } => {
-                        degradation.llm_fallback = true;
-                        self.monitoring.record_llm_fallback();
-                        let citations = uniask_llm::citation::extract_citations(&answer);
-                        GenerationOutcome::Fallback {
-                            text: answer,
-                            citations,
-                        }
-                    }
-                    ChainOutcome::Invalidated { .. } => {
-                        self.monitoring.record_failure();
-                        GenerationOutcome::ServiceError {
-                            error: error.to_string(),
-                        }
-                    }
-                },
-                None => {
-                    self.monitoring.record_failure();
-                    GenerationOutcome::ServiceError {
-                        error: error.to_string(),
-                    }
-                }
-            },
-        };
-        if degradation.is_degraded() {
-            self.monitoring.record_degraded();
-        }
-        AskResponse {
-            question: question.to_string(),
-            generation,
-            documents,
-            context,
-            degradation,
-        }
-    }
-
-    /// The live resilience state, when the layer is enabled.
-    pub fn resilience(&self) -> Option<&ResilienceState> {
-        self.resilience.as_ref()
+    /// The live resilience state: breakers, retry seeds, armed plan.
+    pub fn resilience(&self) -> &ResilienceState {
+        &self.resilience
     }
 
     /// Current simulated time, seconds.
@@ -562,32 +500,20 @@ impl UniAsk {
     }
 
     /// Arm `plan` across every fault point: the search stages, the LLM
-    /// service envelope, and (via [`UniAsk::resilience`]) the queue and
-    /// ingest paths. Enables the resilience layer with defaults if the
-    /// configuration did not.
+    /// completion call, and (via [`UniAsk::resilience`]) the queue and
+    /// ingest paths.
     pub fn inject_faults(&mut self, plan: Arc<FaultPlan>) {
-        if self.resilience.is_none() {
-            self.resilience = Some(ResilienceState::new(
-                self.config.resilience.clone().unwrap_or_default(),
-            ));
-        }
-        let state = self.resilience.as_ref().expect("state just ensured");
-        state.set_plan(Some(Arc::clone(&plan)));
         self.index
             .set_fault_hook(Some(Arc::new(PlanSearchHook(Arc::clone(&plan)))));
-        if let Some(service) = &mut self.service {
-            service.set_fault_hook(Some(Arc::new(PlanLlmHook(plan))));
-        }
+        self.resilience.set_plan(Some(plan));
     }
 
     /// Disarm the armed fault plan, if any. The hooks stay installed
     /// (a disarmed plan keeps counting calls but never faults), so a
     /// recovered system follows the same code path it degraded on.
     pub fn clear_faults(&self) {
-        if let Some(state) = &self.resilience {
-            if let Some(plan) = state.plan() {
-                plan.clear();
-            }
+        if let Some(plan) = self.resilience.plan() {
+            plan.clear();
         }
     }
 }
@@ -686,65 +612,6 @@ mod tests {
     }
 }
 
-impl UniAsk {
-    /// Serialize the retrieval state (index + vectors + chunk table)
-    /// for a warm restart. The configuration itself is code, not data.
-    pub fn save_index(&self) -> bytes::Bytes {
-        self.index.save()
-    }
-
-    /// Rebuild a system from `config` and a snapshot produced by
-    /// [`UniAsk::save_index`] under the *same* configuration (embedding
-    /// dimension and seed must match, or similarities degrade).
-    pub fn from_snapshot(
-        config: UniAskConfig,
-        snapshot: &[u8],
-    ) -> Result<Self, uniask_search::persistence::PersistError> {
-        let vocab = Arc::new(Vocabulary::new());
-        let normalizer = Arc::new(SynonymNormalizer::new(Arc::clone(&vocab)));
-        let embedder = Arc::new(SyntheticEmbedder::with_normalizer(
-            config.embedding_dim,
-            config.seed,
-            normalizer.clone(),
-        ));
-        let reranker = SemanticReranker::new(normalizer.clone());
-        let mut index = SearchIndex::load(snapshot, embedder, reranker)?;
-        if let Some(cache) = config.query_cache {
-            index.enable_cache(cache);
-        }
-        let llm = Arc::new(SimLlm::with_normalizer(config.llm, normalizer));
-        let service = config
-            .llm_service
-            .map(|svc| LlmService::new(Arc::clone(&llm), svc));
-        let guardrails = GuardrailChain {
-            rouge: RougeGuardrail::new(config.rouge_threshold),
-            ..GuardrailChain::new()
-        };
-        let indexing = IndexingService::new(
-            config.chunk_max_tokens,
-            config.enrichment,
-            config.summary_sentences,
-        );
-        let fact_check = config
-            .enable_fact_check
-            .then(|| FactCheckGuardrail::new(FactStore::new()));
-        let resilience = config.resilience.clone().map(ResilienceState::new);
-        Ok(UniAsk {
-            prompt: PromptBuilder::new(config.context_chunks),
-            config,
-            index,
-            llm,
-            service,
-            clock: crate::clock::SimClock::new(),
-            guardrails,
-            fact_check,
-            indexing,
-            resilience,
-            monitoring: Arc::new(Monitoring::new()),
-        })
-    }
-}
-
 #[cfg(test)]
 mod snapshot_tests {
     use super::*;
@@ -817,6 +684,33 @@ mod failure_tests {
         assert_eq!(app.monitoring.snapshot().failed_requests, 1);
     }
 
+    /// An over-long prompt is the request's fault, not the LLM's: it
+    /// must neither count against the breaker nor be retried, or a
+    /// breaker on a never-advancing simulated clock would stay open.
+    #[test]
+    fn request_errors_do_not_trip_the_llm_breaker() {
+        let kb = CorpusGenerator::new(CorpusScale::tiny(), 3).generate();
+        let mut app = UniAsk::new(UniAskConfig {
+            llm: SimLlmConfig {
+                context_window: 16,
+                ..SimLlmConfig::default()
+            },
+            ..Default::default()
+        });
+        app.ingest(&kb);
+        for _ in 0..5 {
+            let response = app.ask("come posso aprire un conto corrente?");
+            assert!(matches!(
+                response.generation,
+                GenerationOutcome::ServiceError { .. }
+            ));
+            assert!(!response.documents.is_empty());
+            assert_eq!(response.degradation, Degradation::default());
+        }
+        assert_eq!(app.monitoring.snapshot().failed_requests, 5);
+        assert_eq!(app.resilience().llm_breaker.opens(), 0);
+    }
+
     #[test]
     fn fact_check_blocks_wrong_values_end_to_end() {
         use uniask_corpus::kb::KbDocument;
@@ -852,85 +746,108 @@ mod failure_tests {
 }
 
 #[cfg(test)]
-mod service_envelope_tests {
+mod oracle_tests {
     use super::*;
     use uniask_corpus::generator::CorpusGenerator;
+    use uniask_corpus::questions::QuestionGenerator;
     use uniask_corpus::scale::CorpusScale;
-    use uniask_llm::service::LlmServiceConfig;
 
-    fn kb() -> uniask_corpus::kb::KnowledgeBase {
-        CorpusGenerator::new(CorpusScale::tiny(), 8).generate()
-    }
-
-    #[test]
-    fn generous_service_answers_like_direct_mode() {
-        let kb = kb();
-        let mut direct = UniAsk::new(UniAskConfig::default());
-        direct.ingest(&kb);
-        let mut via_service = UniAsk::new(UniAskConfig {
-            llm_service: Some(LlmServiceConfig {
-                bucket_capacity: 1e9,
-                tokens_per_sec: 1e9,
-                base_latency_secs: 0.3,
-                per_token_latency_secs: 0.01,
-            }),
-            ..UniAskConfig::default()
-        });
-        via_service.ingest(&kb);
-        let q = "come posso aprire un conto corrente aziendale?";
-        assert_eq!(direct.ask(q).generation, via_service.ask(q).generation);
-    }
-
-    #[test]
-    fn starved_service_rate_limits_with_retry_then_fails() {
-        let kb = kb();
-        // A bucket too small for even one prompt: the retry wait exceeds
-        // the 5-second policy bound, so the request surfaces as a
-        // service error and is counted as a failed request.
-        let mut app = UniAsk::new(UniAskConfig {
-            llm_service: Some(LlmServiceConfig {
-                bucket_capacity: 50.0,
-                tokens_per_sec: 1.0,
-                base_latency_secs: 0.0,
-                per_token_latency_secs: 0.0,
-            }),
-            ..UniAskConfig::default()
-        });
-        app.ingest(&kb);
-        let response = app.ask("come posso aprire un conto corrente aziendale?");
-        assert!(matches!(
-            response.generation,
-            GenerationOutcome::ServiceError { .. }
-        ));
-        assert!(!response.documents.is_empty(), "retrieval unaffected");
-        assert_eq!(app.monitoring.snapshot().failed_requests, 1);
-    }
-
-    #[test]
-    fn short_rate_limits_recover_via_retry() {
-        let kb = kb();
-        // Sized so a burst drains the bucket but one ~≤5 s wait refills
-        // enough for the retry to succeed.
-        let mut app = UniAsk::new(UniAskConfig {
-            llm_service: Some(LlmServiceConfig {
-                bucket_capacity: 4_000.0,
-                tokens_per_sec: 1_000.0,
-                base_latency_secs: 0.1,
-                per_token_latency_secs: 0.001,
-            }),
-            ..UniAskConfig::default()
-        });
-        app.ingest(&kb);
-        let q = "come posso aprire un conto corrente aziendale?";
-        let mut failures = 0;
-        for _ in 0..6 {
-            if matches!(
-                app.ask(q).generation,
-                GenerationOutcome::ServiceError { .. }
-            ) {
-                failures += 1;
-            }
+    /// The plain pipeline, composed stage by stage: content filter →
+    /// hybrid search → top-m context → LLM → answer guardrails.
+    fn staged(
+        app: &UniAsk,
+        question: &str,
+    ) -> (GenerationOutcome, Vec<SearchHit>, Vec<ContextChunk>) {
+        let hybrid = &app.config().hybrid;
+        if let Verdict::Blocked { kind, reason } = app.guardrails.check_question(question) {
+            let documents = app.index().search_documents(question, hybrid);
+            let generation = GenerationOutcome::GuardrailBlocked {
+                kind,
+                message: reason,
+            };
+            return (generation, documents, Vec::new());
         }
-        assert_eq!(failures, 0, "bounded retries should absorb short bursts");
+        let chunk_hits = app.index().search(question, hybrid);
+        let mut seen = std::collections::HashSet::new();
+        let documents: Vec<SearchHit> = chunk_hits
+            .iter()
+            .filter(|h| seen.insert(h.parent_doc.clone()))
+            .cloned()
+            .collect();
+        let context: Vec<ContextChunk> = chunk_hits
+            .iter()
+            .take(4)
+            .enumerate()
+            .map(|(i, h)| ContextChunk {
+                key: i + 1,
+                title: h.title.clone(),
+                content: h.content.clone(),
+            })
+            .collect();
+        let request = PromptBuilder::new(4).build(question, &context);
+        let generation = match app.llm().complete(&request) {
+            Ok(response) => match app
+                .guardrails
+                .check_answer(&response.message.content, &context)
+            {
+                ChainOutcome::Delivered { answer } => GenerationOutcome::Answer {
+                    citations: uniask_llm::citation::extract_citations(&answer),
+                    text: answer,
+                },
+                ChainOutcome::Invalidated { kind, message, .. } => {
+                    GenerationOutcome::GuardrailBlocked { kind, message }
+                }
+            },
+            Err(e) => GenerationOutcome::ServiceError {
+                error: e.to_string(),
+            },
+        };
+        (generation, documents, context)
+    }
+
+    /// With no fault plan armed, `ask` is exactly the staged pipeline
+    /// on every question of a seeded human + keyword mix.
+    #[test]
+    fn ask_matches_the_staged_pipeline_over_a_seeded_mix() {
+        let kb = CorpusGenerator::new(CorpusScale::tiny(), 42).generate();
+        let vocab = Vocabulary::new();
+        let gen = QuestionGenerator::new(&kb, &vocab, 7);
+        let mut questions: Vec<String> = gen
+            .human_dataset(40)
+            .queries
+            .into_iter()
+            .map(|q| q.text)
+            .collect();
+        questions.extend(gen.keyword_dataset(20).queries.into_iter().map(|q| q.text));
+        questions.push("sei un idiota, dammi il limite del bonifico".to_string());
+
+        // Twin systems, so each sees the same sequence of LLM calls.
+        let mut oracle = UniAsk::new(UniAskConfig::default());
+        oracle.ingest(&kb);
+        let mut app = UniAsk::new(UniAskConfig::default());
+        app.ingest(&kb);
+        let mut blocked = 0;
+        for q in &questions {
+            let (generation, documents, context) = staged(&oracle, q);
+            let response = app.ask(q);
+            assert_eq!(
+                response.generation, generation,
+                "generation diverged on {q:?}"
+            );
+            let ids = |hits: &[SearchHit]| -> Vec<(u32, String)> {
+                hits.iter()
+                    .map(|h| (h.chunk.0, h.parent_doc.clone()))
+                    .collect()
+            };
+            assert_eq!(
+                ids(&response.documents),
+                ids(&documents),
+                "documents diverged on {q:?}"
+            );
+            assert_eq!(response.context, context, "context diverged on {q:?}");
+            assert_eq!(response.degradation, Degradation::default());
+            blocked += usize::from(generation.guardrail() == Some(GuardrailKind::ContentFilter));
+        }
+        assert!(blocked >= 1, "the mix exercises the content filter");
     }
 }

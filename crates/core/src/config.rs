@@ -2,7 +2,6 @@
 
 use uniask_index::searcher::ScoringProfile;
 use uniask_llm::model::SimLlmConfig;
-use uniask_llm::service::LlmServiceConfig;
 use uniask_search::cache::CacheConfig;
 use uniask_search::enrichment::Enrichment;
 use uniask_search::hybrid::HybridConfig;
@@ -29,16 +28,9 @@ pub struct UniAskConfig {
     /// Enable the knowledge-store fact-check guardrail (§11 future
     /// work; off in the paper's production configuration).
     pub enable_fact_check: bool,
-    /// Run generation through the rate-limited hosting-service envelope
-    /// (token bucket + latency model, with one bounded retry). `None`
-    /// calls the model directly — the evaluation configuration.
-    pub llm_service: Option<LlmServiceConfig>,
     /// Query-result cache sizing; `None` disables the cache. Results
     /// are identical either way — the cache only changes latency.
     pub query_cache: Option<CacheConfig>,
-    /// Resilience layer (retries, circuit breakers, degradation
-    /// ladder); `None` keeps the fail-fast query path.
-    pub resilience: Option<crate::resilience::ResilienceConfig>,
     /// Global seed.
     pub seed: u64,
 }
@@ -55,9 +47,7 @@ impl Default for UniAskConfig {
             enrichment: Enrichment::None,
             summary_sentences: 2,
             enable_fact_check: false,
-            llm_service: None,
             query_cache: Some(CacheConfig::default()),
-            resilience: None,
             seed: 0xBA5E_BA11,
         }
     }

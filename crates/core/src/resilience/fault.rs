@@ -15,8 +15,6 @@ use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use uniask_llm::error::LlmError;
-use uniask_llm::service::CompletionFault;
 use uniask_search::fault::{SearchFaultHook, SearchStage, StageFault};
 
 /// A named point in the stack where faults can be injected.
@@ -27,7 +25,7 @@ use uniask_search::fault::{SearchFaultHook, SearchStage, StageFault};
 /// while vectors, the reranker and the LLM are remote dependencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// The LLM completion call (`uniask_llm::service`).
+    /// The LLM completion call (`UniAsk`'s generation step).
     LlmComplete,
     /// The title-embedding ANN leg of hybrid retrieval.
     TitleVector,
@@ -303,18 +301,6 @@ impl SearchFaultHook for PlanSearchHook {
                 fault.call
             ),
         })
-    }
-}
-
-/// A [`FaultPlan`] viewed as the LLM-service fault hook.
-#[derive(Debug, Clone)]
-pub struct PlanLlmHook(pub Arc<FaultPlan>);
-
-impl CompletionFault for PlanLlmHook {
-    fn intercept(&self, _now: f64) -> Result<f64, LlmError> {
-        self.0
-            .check(FaultPoint::LlmComplete)
-            .map_err(|_| LlmError::ServiceUnavailable)
     }
 }
 

@@ -33,13 +33,12 @@ use parking_lot::RwLock;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use degrade::{extractive_fallback, Degradation};
 pub use fault::{
-    FaultKind, FaultPlan, FaultPoint, FaultSpec, InjectedFault, PlanLlmHook, PlanSearchHook,
-    FAULT_POINTS,
+    FaultKind, FaultPlan, FaultPoint, FaultSpec, InjectedFault, PlanSearchHook, FAULT_POINTS,
 };
 pub use retry::RetryPolicy;
 
-/// Tunables of the resilience layer (attach via
-/// [`crate::config::UniAskConfig::resilience`]).
+/// Tunables of the resilience layer. Every [`crate::app::UniAsk`] runs
+/// with the defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
     /// Backoff schedule for retryable LLM errors.

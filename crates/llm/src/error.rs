@@ -23,6 +23,17 @@ pub enum LlmError {
     ServiceUnavailable,
 }
 
+impl LlmError {
+    /// Whether this is a dependency failure (rate limit, outage) that a
+    /// retry may clear, as opposed to an error in the request itself.
+    pub fn is_retryable(&self) -> bool {
+        matches!(
+            self,
+            LlmError::RateLimited { .. } | LlmError::ServiceUnavailable
+        )
+    }
+}
+
 impl fmt::Display for LlmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

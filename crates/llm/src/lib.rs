@@ -24,5 +24,5 @@ pub use error::LlmError;
 pub use model::{ChatModel, MockChatModel, SimLlm, SimLlmConfig};
 pub use prompt::{ContextChunk, PromptBuilder};
 pub use rate_limit::TokenBucket;
-pub use service::{CompletionFault, LlmService, LlmServiceConfig};
+pub use service::{LlmService, LlmServiceConfig};
 pub use summarize::{extract_keywords, summarize};

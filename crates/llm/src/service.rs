@@ -7,24 +7,12 @@
 //! computationally heaviest and most expensive step", so it is the rate
 //! limiter for the whole application.
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 
 use crate::chat::{ChatRequest, ChatResponse};
 use crate::error::LlmError;
 use crate::model::ChatModel;
 use crate::rate_limit::TokenBucket;
-
-/// An operational fault injected into the hosted service, ahead of the
-/// rate limiter (chaos testing). Implementations decide per call
-/// whether the service is reachable at simulated time `now`.
-pub trait CompletionFault: Send + Sync {
-    /// Inspect one call: `Ok(extra_latency_secs)` lets it proceed with
-    /// added latency (0.0 for none), `Err` makes the service surface
-    /// that error to the caller.
-    fn intercept(&self, now: f64) -> Result<f64, LlmError>;
-}
 
 /// Operational parameters of the hosted LLM resource.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +55,6 @@ pub struct LlmService<M: ChatModel> {
     model: M,
     config: LlmServiceConfig,
     bucket: Mutex<TokenBucket>,
-    fault: Option<Arc<dyn CompletionFault>>,
 }
 
 impl<M: ChatModel> LlmService<M> {
@@ -80,13 +67,7 @@ impl<M: ChatModel> LlmService<M> {
                 config.bucket_capacity,
                 config.tokens_per_sec,
             )),
-            fault: None,
         }
-    }
-
-    /// Install (or remove) the fault hook consulted before each call.
-    pub fn set_fault_hook(&mut self, fault: Option<Arc<dyn CompletionFault>>) {
-        self.fault = fault;
     }
 
     /// The wrapped model.
@@ -105,12 +86,6 @@ impl<M: ChatModel> LlmService<M> {
     /// request (prompt plus completion), matching how hosted LLM APIs
     /// meter usage.
     pub fn complete_at(&self, request: &ChatRequest, now: f64) -> Result<TimedResponse, LlmError> {
-        // Faults fire before the rate limiter: an unreachable endpoint
-        // never gets to meter tokens.
-        let injected_latency_secs = match &self.fault {
-            Some(fault) => fault.intercept(now)?,
-            None => 0.0,
-        };
         let prompt_tokens = request.prompt_tokens() as f64;
         // Reserve the prompt cost up front; the completion cost is
         // settled after generation.
@@ -131,9 +106,8 @@ impl<M: ChatModel> LlmService<M> {
             // subsequent requests — how hosted quotas behave.
             let _ = bucket.try_acquire(completion_tokens, now);
         }
-        let latency_secs = self.config.base_latency_secs
-            + self.config.per_token_latency_secs * completion_tokens
-            + injected_latency_secs;
+        let latency_secs =
+            self.config.base_latency_secs + self.config.per_token_latency_secs * completion_tokens;
         Ok(TimedResponse {
             response,
             latency_secs,
@@ -199,46 +173,6 @@ mod tests {
         }
         let err = svc.complete_at(&request(60), 0.05).unwrap_err();
         assert!(matches!(err, LlmError::RateLimited { .. }));
-    }
-
-    #[test]
-    fn fault_hook_intercepts_before_the_bucket() {
-        struct Unreachable;
-        impl CompletionFault for Unreachable {
-            fn intercept(&self, _now: f64) -> Result<f64, LlmError> {
-                Err(LlmError::ServiceUnavailable)
-            }
-        }
-        let mut svc = LlmService::new(FixedModel, LlmServiceConfig::default());
-        svc.set_fault_hook(Some(Arc::new(Unreachable)));
-        let err = svc.complete_at(&request(10), 0.0).unwrap_err();
-        assert_eq!(err, LlmError::ServiceUnavailable);
-        // Removing the hook restores service without any token debt
-        // from the failed call.
-        svc.set_fault_hook(None);
-        assert!(svc.complete_at(&request(10), 0.0).is_ok());
-    }
-
-    #[test]
-    fn fault_hook_latency_adds_to_the_model() {
-        struct Slow;
-        impl CompletionFault for Slow {
-            fn intercept(&self, _now: f64) -> Result<f64, LlmError> {
-                Ok(2.0)
-            }
-        }
-        let mut svc = LlmService::new(
-            FixedModel,
-            LlmServiceConfig {
-                bucket_capacity: 1000.0,
-                tokens_per_sec: 100.0,
-                base_latency_secs: 0.5,
-                per_token_latency_secs: 0.01,
-            },
-        );
-        svc.set_fault_hook(Some(Arc::new(Slow)));
-        let out = svc.complete_at(&request(10), 0.0).unwrap();
-        assert!((out.latency_secs - (0.5 + 0.1 + 2.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl SearchIndex {
 
         // Text ranking position.
         let text_rank = if config.use_text {
-            self.text_ranking(query, config)
+            self.text_leg(query, config)
                 .iter()
                 .position(|&d| d == chunk.0)
                 .map(|i| i + 1)

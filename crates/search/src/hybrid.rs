@@ -66,13 +66,6 @@ pub struct HybridConfig {
     pub use_reranker: bool,
     /// Scoring profile for the text component (title boosting).
     pub profile: ScoringProfile,
-    /// Run the retrieval legs (BM25 + the two vector fields) and the
-    /// reranker scoring on scoped worker threads. The results are
-    /// byte-identical to the sequential path: each leg is
-    /// deterministic, fusion order is fixed by leg index, and reranker
-    /// scores are computed per candidate with no cross-candidate
-    /// accumulation.
-    pub parallel: bool,
 }
 
 impl Default for HybridConfig {
@@ -86,7 +79,6 @@ impl Default for HybridConfig {
             use_vector: true,
             use_reranker: true,
             profile: ScoringProfile::neutral(),
-            parallel: false,
         }
     }
 }
@@ -111,9 +103,7 @@ impl HybridConfig {
     }
 
     /// Stable 64-bit fingerprint over every result-affecting field,
-    /// used as part of the query-cache key. `parallel` is deliberately
-    /// excluded: the parallel path returns byte-identical results, so
-    /// both execution modes share cache entries.
+    /// used as part of the query-cache key.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -333,42 +323,12 @@ impl SearchIndex {
         id
     }
 
-    /// Add a chunk to all index structures.
+    /// Add a chunk to all index structures, embedding its title and
+    /// content with this index's embedder.
     pub fn add_chunk(&mut self, record: &ChunkRecord) -> DocId {
-        let doc = IndexDocument::new()
-            .with_text("title", record.title.clone())
-            .with_text("content", record.content.clone())
-            .with_text("summary", record.summary.clone())
-            .with_tags("domain", vec![record.domain.clone()])
-            .with_tags("topic", vec![record.topic.clone()])
-            .with_tags("section", vec![record.section.clone()])
-            .with_tags("keywords", record.keywords.clone());
-        let id = self
-            .inverted
-            .add(&doc)
-            .expect("chunk schema fields are always valid");
-        self.store.put(self.inverted.schema(), id, &doc);
-        debug_assert_eq!(id.as_usize(), self.chunks.len(), "ids are dense");
-        let title_vec = self.embedder.embed(&record.title);
-        if title_vec.iter().any(|&x| x != 0.0) {
-            self.title_vectors.add(id.0, title_vec);
-        }
-        let content_vec = self.embedder.embed(&record.content);
-        if content_vec.iter().any(|&x| x != 0.0) {
-            self.content_vectors.add(id.0, content_vec);
-        }
-        self.chunks.push(ChunkMeta {
-            parent_doc: record.parent_doc.clone(),
-            title: record.title.clone(),
-            content: record.content.clone(),
-        });
-        self.live.push(true);
-        self.by_parent
-            .entry(record.parent_doc.clone())
-            .or_default()
-            .push(id.0);
-        self.bump_generation();
-        id
+        let title_vector = self.embedder.embed(&record.title);
+        let content_vector = self.embedder.embed(&record.content);
+        self.add_chunk_with_vectors(record, title_vector, content_vector)
     }
 
     /// Run hybrid search for `query`.
@@ -455,9 +415,10 @@ impl SearchIndex {
         query_vector: Option<&[f32]>,
         config: &HybridConfig,
     ) -> Vec<SearchHit> {
-        let rankings = self.collect_rankings(text_query, query_vector, config);
+        let healthy = StageMask::default();
+        let rankings = self.collect_rankings(text_query, query_vector, config, healthy);
         let fused = rrf_fuse(&rankings, config.rrf_c);
-        self.finalize_hits(text_query, fused, config)
+        self.finalize_hits(text_query, fused, config, healthy)
     }
 
     /// Hybrid search that tolerates partial pipeline outages.
@@ -478,36 +439,11 @@ impl SearchIndex {
             };
         }
         let vector_wanted = config.use_vector && !(failed.title_vector && failed.content_vector);
-        let query_vector = if vector_wanted {
-            Some(self.embedder.embed(query))
-        } else {
-            None
-        };
-        let vector_active = query_vector
-            .as_deref()
-            .is_some_and(|qv| qv.iter().any(|&x| x != 0.0));
-        let mut rankings: Vec<Vec<u32>> = Vec::with_capacity(3);
-        if config.use_text && !failed.text {
-            rankings.push(self.text_leg(query, config));
-        }
-        if vector_active {
-            let qv = query_vector
-                .as_deref()
-                .expect("vector_active implies a query vector");
-            if !failed.title_vector {
-                rankings.push(self.vector_leg(&self.title_vectors, qv, config));
-            }
-            if !failed.content_vector {
-                rankings.push(self.vector_leg(&self.content_vectors, qv, config));
-            }
-        }
+        let query_vector = vector_wanted.then(|| self.embedder.embed(query));
+        let rankings = self.collect_rankings(query, query_vector.as_deref(), config, failed);
         let fused = rrf_fuse(&rankings, config.rrf_c);
-        let effective = HybridConfig {
-            use_reranker: config.use_reranker && !failed.reranker,
-            ..config.clone()
-        };
         ResilientSearch {
-            hits: self.finalize_hits(query, fused, &effective),
+            hits: self.finalize_hits(query, fused, config, failed),
             failed,
         }
     }
@@ -540,7 +476,7 @@ impl SearchIndex {
     /// `Searcher::search` runs the top-k pruned MaxScore engine; it is
     /// byte-identical to exhaustive evaluation, so RRF fusion sees the
     /// exact ranking the 110-query equivalence suite was pinned on.
-    fn text_leg(&self, text_query: &str, config: &HybridConfig) -> Vec<u32> {
+    pub(crate) fn text_leg(&self, text_query: &str, config: &HybridConfig) -> Vec<u32> {
         self.searcher
             .search(
                 &self.inverted,
@@ -568,51 +504,28 @@ impl SearchIndex {
             .collect()
     }
 
-    /// Run the enabled retrieval legs, sequentially or on scoped
-    /// threads. The returned rankings are always in the fixed order
-    /// text, title-vector, content-vector, so RRF fusion is identical
-    /// regardless of execution mode.
+    /// Run the enabled retrieval legs, skipping those marked in
+    /// `failed`. The returned rankings are always in the fixed order
+    /// text, title-vector, content-vector, so RRF fusion depends only
+    /// on which legs ran.
     fn collect_rankings(
         &self,
         text_query: &str,
         query_vector: Option<&[f32]>,
         config: &HybridConfig,
+        failed: StageMask,
     ) -> Vec<Vec<u32>> {
-        let vector_active =
-            config.use_vector && query_vector.is_some_and(|qv| qv.iter().any(|&x| x != 0.0));
-        let legs = usize::from(config.use_text) + 2 * usize::from(vector_active);
         let mut rankings: Vec<Vec<u32>> = Vec::with_capacity(3);
-        if config.parallel && legs > 1 {
-            let (text_hits, title_hits, content_hits) = std::thread::scope(|scope| {
-                let text_handle = config
-                    .use_text
-                    .then(|| scope.spawn(|| self.text_leg(text_query, config)));
-                let title_handle = vector_active.then(|| {
-                    let qv = query_vector.expect("vector_active implies a query vector");
-                    scope.spawn(move || self.vector_leg(&self.title_vectors, qv, config))
-                });
-                // Run the content leg on the calling thread: with three
-                // legs we only need two extra threads.
-                let content_hits = vector_active.then(|| {
-                    let qv = query_vector.expect("vector_active implies a query vector");
-                    self.vector_leg(&self.content_vectors, qv, config)
-                });
-                (
-                    text_handle.map(|h| h.join().expect("text leg must not panic")),
-                    title_handle.map(|h| h.join().expect("title leg must not panic")),
-                    content_hits,
-                )
-            });
-            rankings.extend(text_hits);
-            rankings.extend(title_hits);
-            rankings.extend(content_hits);
-        } else {
-            if config.use_text {
-                rankings.push(self.text_leg(text_query, config));
-            }
-            if vector_active {
-                let qv = query_vector.expect("vector_active implies a query vector");
+        if config.use_text && !failed.text {
+            rankings.push(self.text_leg(text_query, config));
+        }
+        if let Some(qv) =
+            query_vector.filter(|qv| config.use_vector && qv.iter().any(|&x| x != 0.0))
+        {
+            if !failed.title_vector {
                 rankings.push(self.vector_leg(&self.title_vectors, qv, config));
+            }
+            if !failed.content_vector {
                 rankings.push(self.vector_leg(&self.content_vectors, qv, config));
             }
         }
@@ -636,48 +549,23 @@ impl SearchIndex {
         }
     }
 
-    /// Truncate the fused ranking to `final_n`, apply (optionally
-    /// parallel) semantic reranking, and sort. Reranker scores are
-    /// computed per candidate with no cross-candidate state, and the
-    /// chunked fan-out preserves candidate order before the sort, so
-    /// the parallel path is byte-identical to the sequential one.
+    /// Truncate the fused ranking to `final_n`, apply semantic
+    /// reranking unless it is disabled in `config` or marked in
+    /// `failed`, and sort.
     fn finalize_hits(
         &self,
         text_query: &str,
         fused: Vec<RrfFused<u32>>,
         config: &HybridConfig,
+        failed: StageMask,
     ) -> Vec<SearchHit> {
-        let top: Vec<RrfFused<u32>> = fused.into_iter().take(config.final_n).collect();
-        let mut hits: Vec<SearchHit> = if config.use_reranker && config.parallel && top.len() >= 8 {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-                .min(top.len());
-            let chunk_size = top.len().div_ceil(workers.max(1));
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = top
-                    .chunks(chunk_size)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            slice
-                                .iter()
-                                .map(|f| self.scored_hit(text_query, f, true))
-                                .collect::<Vec<SearchHit>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("rerank worker must not panic"))
-                    .collect()
-            })
-        } else {
-            top.iter()
-                .map(|f| self.scored_hit(text_query, f, config.use_reranker))
-                .collect()
-        };
-        if config.use_reranker {
+        let rerank = config.use_reranker && !failed.reranker;
+        let mut hits: Vec<SearchHit> = fused
+            .iter()
+            .take(config.final_n)
+            .map(|f| self.scored_hit(text_query, f, rerank))
+            .collect();
+        if rerank {
             hits.sort_by(|a, b| {
                 b.score
                     .partial_cmp(&a.score)
@@ -702,31 +590,17 @@ impl SearchIndex {
     }
 
     /// Fuse several per-query chunk rankings into one (MQ1 multi-query
-    /// search). With `config.parallel` the per-query searches fan out
-    /// over scoped threads; rankings are joined in query order, so the
-    /// fusion is identical to the sequential path.
+    /// search). Rankings are fused in query order.
     pub fn multi_query_search(&self, queries: &[String], config: &HybridConfig) -> Vec<SearchHit> {
-        let collect_ids = |q: &String| -> Vec<u32> {
-            self.search(q, config)
-                .into_iter()
-                .map(|h| h.chunk.0)
-                .collect()
-        };
-        let per_query: Vec<Vec<u32>> = if config.parallel && queries.len() > 1 {
-            std::thread::scope(|scope| {
-                let collect_ids = &collect_ids;
-                let handles: Vec<_> = queries
-                    .iter()
-                    .map(|q| scope.spawn(move || collect_ids(q)))
-                    .collect();
-                handles
+        let per_query: Vec<Vec<u32>> = queries
+            .iter()
+            .map(|q| {
+                self.search(q, config)
                     .into_iter()
-                    .map(|h| h.join().expect("query worker must not panic"))
+                    .map(|h| h.chunk.0)
                     .collect()
             })
-        } else {
-            queries.iter().map(collect_ids).collect()
-        };
+            .collect();
         let fused = rrf_fuse(&per_query, config.rrf_c);
         fused
             .into_iter()
@@ -1055,7 +929,7 @@ impl SearchIndex {
             }
         }
         let fused = crate::rrf::rrf_fuse(&rankings, config.rrf_c);
-        self.finalize_hits(text_query, fused, config)
+        self.finalize_hits(text_query, fused, config, StageMask::default())
     }
 }
 
@@ -1129,16 +1003,6 @@ impl SearchIndex {
         self.chunks
             .get(chunk.as_usize())
             .map(|m| m.parent_doc.clone())
-    }
-
-    /// The raw text-component ranking (chunk ids, best first).
-    pub(crate) fn text_ranking(&self, query: &str, config: &HybridConfig) -> Vec<u32> {
-        self.searcher
-            .search(&self.inverted, query, config.text_n, &config.profile, None)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|h| h.doc.0)
-            .collect()
     }
 
     /// The title-vector component.
@@ -1290,42 +1154,6 @@ mod concurrency_tests {
     }
 
     #[test]
-    fn parallel_search_matches_sequential() {
-        let idx = seeded_index(40);
-        let sequential = HybridConfig::default();
-        let parallel = HybridConfig {
-            parallel: true,
-            ..Default::default()
-        };
-        for q in sample_queries() {
-            assert_eq!(
-                idx.search(q, &sequential),
-                idx.search(q, &parallel),
-                "parallel results must be byte-identical for {q:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_rerank_over_many_candidates_matches_sequential() {
-        let idx = seeded_index(60);
-        // final_n large enough to trigger the chunked parallel rerank.
-        let sequential = HybridConfig {
-            final_n: 30,
-            text_n: 60,
-            vector_k: 30,
-            ..Default::default()
-        };
-        let parallel = HybridConfig {
-            parallel: true,
-            ..sequential.clone()
-        };
-        for q in sample_queries() {
-            assert_eq!(idx.search(q, &sequential), idx.search(q, &parallel));
-        }
-    }
-
-    #[test]
     fn cache_returns_same_results_and_counts_hits() {
         let mut cached = seeded_index(30);
         cached.enable_cache(CacheConfig::default());
@@ -1376,10 +1204,7 @@ mod concurrency_tests {
         let mut idx = seeded_index(30);
         idx.enable_cache(CacheConfig::default());
         let queries = sample_queries();
-        let cfg = HybridConfig {
-            parallel: true,
-            ..Default::default()
-        };
+        let cfg = HybridConfig::default();
         let expected: Vec<Vec<SearchHit>> = queries.iter().map(|q| idx.search(q, &cfg)).collect();
         std::thread::scope(|scope| {
             for _ in 0..4 {

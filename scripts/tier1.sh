@@ -20,10 +20,12 @@ cargo test -q --locked --offline
 
 # benchmark/run.sh builds without --locked, so a change to a product
 # crate's [dependencies] would silently rewrite the tracked
-# benchmark/Cargo.lock during the smoke below. Build it locked first so
-# such a change fails here instead.
-echo "==> benchmark build (--locked against benchmark/Cargo.lock)"
-cargo build --release --locked --offline --manifest-path benchmark/Cargo.toml --bin bench
+# benchmark/Cargo.lock during the smoke below. Build every benchmark
+# binary locked first, so such a change fails here instead, and so does
+# a product API change that breaks the `trace` binary, which the smoke
+# does not run.
+echo "==> benchmark build (all binaries, --locked against benchmark/Cargo.lock)"
+cargo build --release --locked --offline --manifest-path benchmark/Cargo.toml --bins
 
 echo "==> benchmark smoke (builds against the product API, runs its correctness checks)"
 bash benchmark/run.sh --smoke

@@ -37,15 +37,8 @@ fn kb(seed: u64) -> KnowledgeBase {
     CorpusGenerator::new(CorpusScale::tiny(), seed).generate()
 }
 
-fn resilient_config() -> UniAskConfig {
-    UniAskConfig {
-        resilience: Some(ResilienceConfig::default()),
-        ..UniAskConfig::default()
-    }
-}
-
 fn system(kb: &KnowledgeBase) -> UniAsk {
-    let mut app = UniAsk::new(resilient_config());
+    let mut app = UniAsk::new(UniAskConfig::default());
     app.ingest(kb);
     app
 }
@@ -172,7 +165,7 @@ fn vector_outage_degrades_to_bm25_and_flags_it() {
     // pipeline pre-narrows to BM25 without even probing the legs.
     let _ = app.ask(&question);
     let _ = app.ask(&question);
-    let state = app.resilience().expect("resilience enabled");
+    let state = app.resilience();
     assert!(state.vector_breaker.opens() >= 1, "breaker should trip");
     let snap = app.monitoring.snapshot();
     assert!(snap.degraded_queries >= 3);
@@ -287,7 +280,7 @@ fn queue_and_ingest_chaos_loses_no_updates() {
         let plan = FaultPlan::seeded(seed ^ 0xD1CE);
         let queue: MessageQueue<IngestMessage> = MessageQueue::new(8);
         let mut ingestion = IngestionService::new();
-        let mut app = UniAsk::new(resilient_config());
+        let mut app = UniAsk::new(UniAskConfig::default());
 
         // Poll-and-drain cycles under the plan until the watermark set
         // converges: faulted polls skip, faulted posts defer, a full
