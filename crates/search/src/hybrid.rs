@@ -8,7 +8,7 @@
 //! ablations (text-only / vector-only).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use uniask_index::doc::{DocId, IndexDocument};
 use uniask_index::inverted::InvertedIndex;
@@ -21,8 +21,15 @@ use uniask_vector::VectorIndex;
 
 use crate::cache::{CacheConfig, CacheStats, QueryCache};
 use crate::fault::{ResilientSearch, SearchFaultHook, SearchStage, StageMask};
-use crate::reranker::SemanticReranker;
+use crate::reranker::{ChunkConcepts, PreparedQuery, SemanticReranker};
 use crate::rrf::{rrf_fuse, RrfFused};
+
+/// A vector graph is rebuilt from its live vectors once more than
+/// `1 / RECLAIM_DEAD_FRACTION` of its nodes belong to removed chunks.
+/// Checked on the delete path only, so the rebuild points are a
+/// function of the mutation history: WAL replay rebuilds at the same
+/// message an uninterrupted run did.
+const RECLAIM_DEAD_FRACTION: usize = 5;
 
 /// A chunk ready for indexing (output of the indexing service).
 #[derive(Debug, Clone, PartialEq)]
@@ -135,12 +142,20 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// Per-chunk metadata kept alongside the indexes.
-#[derive(Debug, Clone)]
+/// Per-chunk metadata kept alongside the indexes. A removed chunk
+/// keeps only its `parent_doc`.
+#[derive(Debug, Default)]
 pub(crate) struct ChunkMeta {
     pub(crate) parent_doc: String,
     pub(crate) title: String,
     pub(crate) content: String,
+    /// Reranker concepts, analysed on the chunk's first rerank; never
+    /// persisted.
+    pub(crate) concepts: OnceLock<ChunkConcepts>,
+    /// Whether the chunk has a node in the title / content graph (an
+    /// all-zero embedding is not inserted).
+    pub(crate) in_title_graph: bool,
+    pub(crate) in_content_graph: bool,
 }
 
 /// The chunk search index: inverted index + two vector fields + store.
@@ -153,12 +168,16 @@ pub struct SearchIndex {
     pub(crate) reranker: SemanticReranker,
     pub(crate) chunks: Vec<ChunkMeta>,
     pub(crate) searcher: Searcher,
-    /// Live flags per chunk (tombstones for updated/removed documents;
-    /// HNSW has no hard delete, so vector hits are filtered).
+    /// Live flags per chunk (tombstones for updated/removed documents).
+    /// A removed chunk's graph nodes stay until the next reclaim, so
+    /// vector hits are filtered.
     pub(crate) live: Vec<bool>,
     /// parent document id → chunk ids (for document replacement).
     pub(crate) by_parent: std::collections::HashMap<String, Vec<u32>>,
     pub(crate) tombstones: usize,
+    /// Nodes of removed chunks still in the title / content graph.
+    pub(crate) title_dead: usize,
+    pub(crate) content_dead: usize,
     /// Optional query-result cache (see [`crate::cache`]).
     pub(crate) cache: Option<QueryCache>,
     /// Mutation counter: bumped on every add/remove so cached results
@@ -205,6 +224,8 @@ impl SearchIndex {
             live: Vec::new(),
             by_parent: std::collections::HashMap::new(),
             tombstones: 0,
+            title_dead: 0,
+            content_dead: 0,
             cache: None,
             generation: AtomicU64::new(0),
             fault_hook: None,
@@ -250,6 +271,10 @@ impl SearchIndex {
 
     /// Remove every chunk of `parent_doc` (document update/deletion in
     /// the ingestion flow). Returns the number of chunks removed.
+    ///
+    /// The removed rows keep only their parent id. When this leaves
+    /// more than a fifth of either vector graph dead, both graphs are
+    /// rebuilt from the live vectors.
     pub fn remove_document(&mut self, parent_doc: &str) -> usize {
         let Some(chunk_ids) = self.by_parent.remove(parent_doc) else {
             return 0;
@@ -260,14 +285,56 @@ impl SearchIndex {
                 self.live[id as usize] = false;
                 let _ = self.inverted.delete(DocId(id));
                 self.store.remove(DocId(id));
+                let meta = &mut self.chunks[id as usize];
+                self.title_dead += usize::from(meta.in_title_graph);
+                self.content_dead += usize::from(meta.in_content_graph);
+                *meta = ChunkMeta {
+                    parent_doc: std::mem::take(&mut meta.parent_doc),
+                    ..ChunkMeta::default()
+                };
                 self.tombstones += 1;
                 removed += 1;
             }
         }
         if removed > 0 {
+            if self.title_dead * RECLAIM_DEAD_FRACTION > self.title_vectors.len()
+                || self.content_dead * RECLAIM_DEAD_FRACTION > self.content_vectors.len()
+            {
+                self.reclaim_vectors();
+            }
             self.bump_generation();
         }
         removed
+    }
+
+    /// Rebuild both vector graphs over the live chunks' vectors, in
+    /// their original insertion order.
+    fn reclaim_vectors(&mut self) {
+        let live = &self.live;
+        self.title_vectors = self.title_vectors.rebuilt(|id| live[id as usize]);
+        self.content_vectors = self.content_vectors.rebuilt(|id| live[id as usize]);
+        self.title_dead = 0;
+        self.content_dead = 0;
+    }
+
+    /// Derive the live chunks' graph flags and each graph's dead count
+    /// from the graphs (a snapshot stores neither).
+    pub(crate) fn count_graph_nodes(&mut self) {
+        let live = |id: u32| self.live.get(id as usize).copied().unwrap_or(false);
+        self.title_dead = 0;
+        for id in self.title_vectors.ids() {
+            match self.chunks.get_mut(id as usize) {
+                Some(meta) if live(id) => meta.in_title_graph = true,
+                _ => self.title_dead += 1,
+            }
+        }
+        self.content_dead = 0;
+        for id in self.content_vectors.ids() {
+            match self.chunks.get_mut(id as usize) {
+                Some(meta) if live(id) => meta.in_content_graph = true,
+                _ => self.content_dead += 1,
+            }
+        }
     }
 
     /// Whether the index is empty.
@@ -303,16 +370,21 @@ impl SearchIndex {
             .expect("chunk schema fields are always valid");
         self.store.put(self.inverted.schema(), id, &doc);
         debug_assert_eq!(id.as_usize(), self.chunks.len(), "ids are dense");
-        if title_vector.iter().any(|&x| x != 0.0) {
+        let in_title_graph = title_vector.iter().any(|&x| x != 0.0);
+        if in_title_graph {
             self.title_vectors.add(id.0, title_vector);
         }
-        if content_vector.iter().any(|&x| x != 0.0) {
+        let in_content_graph = content_vector.iter().any(|&x| x != 0.0);
+        if in_content_graph {
             self.content_vectors.add(id.0, content_vector);
         }
         self.chunks.push(ChunkMeta {
             parent_doc: record.parent_doc.clone(),
             title: record.title.clone(),
             content: record.content.clone(),
+            concepts: OnceLock::new(),
+            in_title_graph,
+            in_content_graph,
         });
         self.live.push(true);
         self.by_parent
@@ -491,10 +563,17 @@ impl SearchIndex {
             .collect()
     }
 
-    /// One vector-field leg: live chunk ids, best first.
-    fn vector_leg(&self, field: &Hnsw, query_vector: &[f32], config: &HybridConfig) -> Vec<u32> {
-        // Over-fetch to compensate for tombstoned chunks.
-        let fetch = config.vector_k + self.tombstones.min(config.vector_k * 3);
+    /// One vector-field leg: live chunk ids, best first. `dead` is the
+    /// graph's count of nodes of removed chunks.
+    fn vector_leg(
+        &self,
+        field: &Hnsw,
+        dead: usize,
+        query_vector: &[f32],
+        config: &HybridConfig,
+    ) -> Vec<u32> {
+        // Over-fetch to compensate for the dead nodes.
+        let fetch = config.vector_k + dead.min(config.vector_k * 3);
         field
             .search(query_vector, fetch)
             .into_iter()
@@ -523,22 +602,36 @@ impl SearchIndex {
             query_vector.filter(|qv| config.use_vector && qv.iter().any(|&x| x != 0.0))
         {
             if !failed.title_vector {
-                rankings.push(self.vector_leg(&self.title_vectors, qv, config));
+                rankings.push(self.vector_leg(&self.title_vectors, self.title_dead, qv, config));
             }
             if !failed.content_vector {
-                rankings.push(self.vector_leg(&self.content_vectors, qv, config));
+                rankings.push(self.vector_leg(
+                    &self.content_vectors,
+                    self.content_dead,
+                    qv,
+                    config,
+                ));
             }
         }
         rankings
     }
 
-    /// Score one fused candidate (RRF score plus weighted reranker).
-    fn scored_hit(&self, text_query: &str, fused: &RrfFused<u32>, rerank: bool) -> SearchHit {
+    /// The chunk's reranker concepts, analysed on first use.
+    fn chunk_concepts<'a>(&self, meta: &'a ChunkMeta) -> &'a ChunkConcepts {
+        meta.concepts
+            .get_or_init(|| self.reranker.chunk_concepts(&meta.title, &meta.content))
+    }
+
+    /// Score one fused candidate (RRF score plus the weighted reranker
+    /// score when `query` is given).
+    fn scored_hit(&self, fused: &RrfFused<u32>, query: Option<&PreparedQuery>) -> SearchHit {
         let meta = &self.chunks[fused.id as usize];
         let mut score = fused.score;
-        if rerank {
-            score +=
-                self.reranker.weight * self.reranker.score(text_query, &meta.title, &meta.content);
+        if let Some(query) = query {
+            score += self.reranker.weight
+                * self
+                    .reranker
+                    .score_prepared(query, self.chunk_concepts(meta));
         }
         SearchHit {
             chunk: DocId(fused.id),
@@ -560,10 +653,18 @@ impl SearchIndex {
         failed: StageMask,
     ) -> Vec<SearchHit> {
         let rerank = config.use_reranker && !failed.reranker;
-        let mut hits: Vec<SearchHit> = fused
+        let candidates = &fused[..fused.len().min(config.final_n)];
+        let query = rerank.then(|| {
+            // Candidates first: the query lookup never interns, so only
+            // concepts of already analysed chunks can match.
+            for f in candidates {
+                self.chunk_concepts(&self.chunks[f.id as usize]);
+            }
+            self.reranker.prepare_query(text_query)
+        });
+        let mut hits: Vec<SearchHit> = candidates
             .iter()
-            .take(config.final_n)
-            .map(|f| self.scored_hit(text_query, f, rerank))
+            .map(|f| self.scored_hit(f, query.as_ref()))
             .collect();
         if rerank {
             hits.sort_by(|a, b| {
@@ -911,8 +1012,11 @@ impl SearchIndex {
         if config.use_vector {
             let qv = self.embedder.embed(text_query);
             if qv.iter().any(|&x| x != 0.0) {
-                let fetch = config.vector_k * 4 + self.tombstones.min(config.vector_k * 3);
-                for field in [&self.title_vectors, &self.content_vectors] {
+                for (field, dead) in [
+                    (&self.title_vectors, self.title_dead),
+                    (&self.content_vectors, self.content_dead),
+                ] {
+                    let fetch = config.vector_k * 4 + dead.min(config.vector_k * 3);
                     rankings.push(
                         field
                             .search(&qv, fetch)
@@ -1015,10 +1119,12 @@ impl SearchIndex {
         &self.content_vectors
     }
 
-    /// Raw semantic-reranker score for (query, chunk).
+    /// Raw semantic-reranker score for (query, chunk), computed the
+    /// way [`SearchIndex::search`] computes it.
     pub(crate) fn reranker_score(&self, query: &str, chunk: DocId) -> Option<f64> {
-        let meta = self.chunks.get(chunk.as_usize())?;
-        Some(self.reranker.score(query, &meta.title, &meta.content))
+        let concepts = self.chunk_concepts(self.chunks.get(chunk.as_usize())?);
+        let query = self.reranker.prepare_query(query);
+        Some(self.reranker.score_prepared(&query, concepts))
     }
 
     /// The reranker's calibration weight.
@@ -1033,13 +1139,14 @@ impl SearchIndex {
 pub struct IndexStats {
     /// Live chunks.
     pub live_chunks: usize,
-    /// Tombstoned chunks awaiting compaction.
+    /// Removed chunks (their rows stay in the chunk table).
     pub tombstones: usize,
     /// Distinct source documents.
     pub documents: usize,
-    /// Vectors stored in the title field.
+    /// Nodes in the title graph, removed chunks' included until the
+    /// next reclaim.
     pub title_vectors: usize,
-    /// Vectors stored in the content field.
+    /// Nodes in the content graph, likewise.
     pub content_vectors: usize,
     /// Embedding dimension.
     pub embedding_dim: usize,
@@ -1069,7 +1176,7 @@ mod stats_tests {
     fn stats_track_additions_and_removals() {
         let embedder = Arc::new(SyntheticEmbedder::new(32, 3));
         let mut idx = SearchIndex::new(embedder, SemanticReranker::default());
-        for i in 0..3 {
+        for i in 0..6 {
             idx.add_chunk(&ChunkRecord {
                 parent_doc: format!("kb/{i}"),
                 ordinal: 0,
@@ -1083,18 +1190,168 @@ mod stats_tests {
             });
         }
         let s = idx.stats();
-        assert_eq!(s.live_chunks, 3);
-        assert_eq!(s.documents, 3);
+        assert_eq!(s.live_chunks, 6);
+        assert_eq!(s.documents, 6);
         assert_eq!(s.tombstones, 0);
         assert_eq!(s.embedding_dim, 32);
-        assert_eq!(s.title_vectors, 3);
+        assert_eq!(s.title_vectors, 6);
         idx.remove_document("kb/0");
         let s = idx.stats();
-        assert_eq!(s.live_chunks, 2);
+        assert_eq!(s.live_chunks, 5);
         assert_eq!(s.tombstones, 1);
-        assert_eq!(s.documents, 2);
-        // HNSW keeps the vector (tombstone-filtered at search time).
-        assert_eq!(s.title_vectors, 3);
+        assert_eq!(s.documents, 5);
+        // One dead node in six is under the reclaim threshold: the
+        // graphs keep it (filtered at search time).
+        assert_eq!((s.title_vectors, s.content_vectors), (6, 6));
+        idx.remove_document("kb/1");
+        let s = idx.stats();
+        assert_eq!(s.live_chunks, 4);
+        assert_eq!(s.tombstones, 2);
+        // Two in six is over it: both graphs are rebuilt from the live
+        // vectors.
+        assert_eq!((s.title_vectors, s.content_vectors), (4, 4));
+    }
+}
+
+#[cfg(test)]
+mod reclaim_tests {
+    use super::*;
+    use crate::reranker::SemanticReranker;
+    use uniask_vector::embedding::SyntheticEmbedder;
+
+    const TOPICS: [&str; 5] = ["bonifico", "mutuo", "carta", "conto", "prestito"];
+
+    fn record(i: usize, version: usize) -> ChunkRecord {
+        let term = TOPICS[i % TOPICS.len()];
+        ChunkRecord {
+            parent_doc: format!("kb/{i}"),
+            ordinal: 0,
+            title: format!("Scheda {term} {i}"),
+            content: format!("istruzioni {term} per la pratica {i} versione {version}"),
+            summary: String::new(),
+            domain: "D".into(),
+            topic: "T".into(),
+            section: "S".into(),
+            keywords: vec![],
+        }
+    }
+
+    /// 20 pages; every fourth has an all-zero title vector, so the two
+    /// graphs hold different id sets.
+    fn index() -> SearchIndex {
+        let embedder = Arc::new(SyntheticEmbedder::new(32, 7));
+        let mut idx = SearchIndex::new(embedder, SemanticReranker::default());
+        for i in 0..20 {
+            add(&mut idx, &record(i, 0));
+        }
+        idx
+    }
+
+    fn add(idx: &mut SearchIndex, record: &ChunkRecord) {
+        let i: usize = record.parent_doc[3..].parse().unwrap();
+        let title = if i.is_multiple_of(4) {
+            vec![0.0; idx.embedder.dim()]
+        } else {
+            idx.embedder.embed(&record.title)
+        };
+        let content = idx.embedder.embed(&record.content);
+        idx.add_chunk_with_vectors(record, title, content);
+    }
+
+    fn live_ids_with(idx: &SearchIndex, in_graph: impl Fn(&ChunkMeta) -> bool) -> Vec<u32> {
+        (0..idx.chunks.len() as u32)
+            .filter(|&id| idx.live[id as usize] && in_graph(&idx.chunks[id as usize]))
+            .collect()
+    }
+
+    fn assert_no_dead_hits(idx: &SearchIndex) {
+        for term in TOPICS {
+            for config in [HybridConfig::default(), HybridConfig::vector_only()] {
+                for hit in idx.search(term, &config) {
+                    assert!(idx.live[hit.chunk.as_usize()], "dead chunk {:?}", hit.chunk);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crossing_the_threshold_leaves_exactly_the_live_vectors() {
+        let mut idx = index();
+        let mut reclaimed = false;
+        for (round, i) in (0..12).enumerate() {
+            let before = idx.title_vectors.len() + idx.content_vectors.len();
+            idx.remove_document(&format!("kb/{i}"));
+            add(&mut idx, &record(i, 1));
+            assert_no_dead_hits(&idx);
+            if idx.title_vectors.len() + idx.content_vectors.len() <= before {
+                reclaimed = true;
+                assert_eq!((idx.title_dead, idx.content_dead), (0, 0), "round {round}");
+                assert_eq!(
+                    idx.title_vectors.ids().collect::<Vec<_>>(),
+                    live_ids_with(&idx, |m| m.in_title_graph)
+                );
+                assert_eq!(
+                    idx.content_vectors.ids().collect::<Vec<_>>(),
+                    live_ids_with(&idx, |m| m.in_content_graph)
+                );
+            }
+            assert!(idx.title_dead * RECLAIM_DEAD_FRACTION <= idx.title_vectors.len());
+            assert!(idx.content_dead * RECLAIM_DEAD_FRACTION <= idx.content_vectors.len());
+        }
+        assert!(
+            reclaimed,
+            "twelve re-upserts of twenty pages must cross a fifth"
+        );
+        // Removed rows keep only their parent id.
+        let dead = idx.live.iter().position(|&l| !l).unwrap();
+        let meta = &idx.chunks[dead];
+        assert!(meta.title.is_empty() && meta.content.is_empty());
+        assert!(meta.concepts.get().is_none());
+    }
+
+    /// A snapshot without its mutation generation and checksum trailer
+    /// (a restored index resumes one generation past the saved one).
+    fn state(snapshot: &[u8]) -> &[u8] {
+        &snapshot[14..snapshot.len() - 8]
+    }
+
+    #[test]
+    fn reclaim_points_survive_a_snapshot_round_trip() {
+        let mut idx = index();
+        // Two re-upserts: dead nodes exist, no reclaim yet.
+        for i in 0..2 {
+            idx.remove_document(&format!("kb/{i}"));
+            add(&mut idx, &record(i, 1));
+        }
+        assert!(idx.content_dead > 0);
+        let snapshot = idx.save();
+        let mut restored =
+            SearchIndex::load(&snapshot, idx.embedder.clone(), SemanticReranker::default())
+                .unwrap();
+        assert_eq!(
+            state(&restored.save()),
+            state(&snapshot),
+            "save → load → save"
+        );
+        assert_eq!(
+            (restored.title_dead, restored.content_dead),
+            (idx.title_dead, idx.content_dead)
+        );
+        // The restored index reclaims at the same removal as the
+        // original: their snapshots agree after every step.
+        for i in 2..12 {
+            for index in [&mut idx, &mut restored] {
+                index.remove_document(&format!("kb/{i}"));
+                add(index, &record(i, 1));
+            }
+            let snapshot = idx.save();
+            assert_eq!(state(&restored.save()), state(&snapshot), "after kb/{i}");
+            let reloaded =
+                SearchIndex::load(&snapshot, idx.embedder.clone(), SemanticReranker::default())
+                    .unwrap();
+            assert_eq!(state(&reloaded.save()), state(&snapshot));
+        }
+        assert_no_dead_hits(&restored);
     }
 }
 

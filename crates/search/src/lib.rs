@@ -26,7 +26,7 @@ pub use explain::{Explanation, RankContribution};
 pub use fault::{ResilientSearch, SearchFaultHook, SearchStage, StageFault, StageMask};
 pub use hybrid::{ChunkRecord, HybridConfig, IndexStats, SearchHit, SearchIndex};
 pub use persistence::PersistError;
-pub use reranker::SemanticReranker;
+pub use reranker::{ChunkConcepts, PreparedQuery, SemanticReranker};
 pub use rrf::{rrf_fuse, RrfFused};
 pub use segmented::{
     spawn_merger, MergePolicy, MergeWorker, OracleIndex, SegmentedConfig, SegmentedSearchIndex,

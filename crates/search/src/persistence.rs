@@ -237,9 +237,10 @@ impl SearchIndex {
                 parent_doc,
                 title,
                 content,
+                ..ChunkMeta::default()
             });
         }
-        Ok(SearchIndex {
+        let mut index = SearchIndex {
             inverted,
             store,
             title_vectors,
@@ -251,6 +252,8 @@ impl SearchIndex {
             live,
             by_parent,
             tombstones,
+            title_dead: 0,
+            content_dead: 0,
             cache: None,
             // Resume one epoch *past* the saved one: any cache entry
             // produced before the save (generation ≤ saved) can never
@@ -259,7 +262,9 @@ impl SearchIndex {
             // 0, silently re-validating pre-save generations.
             generation: std::sync::atomic::AtomicU64::new(saved_generation.saturating_add(1)),
             fault_hook: None,
-        })
+        };
+        index.count_graph_nodes();
+        Ok(index)
     }
 }
 

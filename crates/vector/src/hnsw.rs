@@ -327,6 +327,22 @@ impl Hnsw {
         &self.params
     }
 
+    /// Ids of the stored vectors, in insertion order.
+    pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.nodes.iter().map(|n| n.id)
+    }
+
+    /// A fresh index over the vectors whose id `keep` accepts,
+    /// re-inserted in their original order: the graph a new index
+    /// with these parameters builds from the same inserts.
+    pub fn rebuilt(&self, keep: impl Fn(u32) -> bool) -> Hnsw {
+        let mut fresh = Hnsw::new(self.params);
+        for node in self.nodes.iter().filter(|n| keep(n.id)) {
+            fresh.insert(node.id, node.vector.clone());
+        }
+        fresh
+    }
+
     /// Whether quantized traversal is currently active.
     pub fn is_quantized(&self) -> bool {
         self.params.sq8 && self.sq8.is_some()
@@ -637,9 +653,9 @@ impl Hnsw {
     }
 }
 
-impl VectorIndex for Hnsw {
-    fn add(&mut self, id: u32, mut vector: Vec<f32>) {
-        normalize(&mut vector);
+impl Hnsw {
+    /// Insert an already normalized vector.
+    fn insert(&mut self, id: u32, vector: Vec<f32>) {
         let level = self.sample_level();
         let internal = self.nodes.len() as u32;
         self.nodes.push(Node {
@@ -690,6 +706,13 @@ impl VectorIndex for Hnsw {
             self.max_level = level;
             self.entry_point = Some(internal);
         }
+    }
+}
+
+impl VectorIndex for Hnsw {
+    fn add(&mut self, id: u32, mut vector: Vec<f32>) {
+        normalize(&mut vector);
+        self.insert(id, vector);
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
@@ -755,6 +778,34 @@ mod tests {
         let idx = Hnsw::new(HnswParams::default());
         assert!(idx.search(&[1.0, 0.0], 3).is_empty());
         assert_eq!(idx.len(), 0);
+    }
+
+    #[test]
+    fn rebuilt_equals_a_fresh_build_of_the_kept_inserts() {
+        // Unnormalized inputs: the rebuild must reuse the stored
+        // vectors, not normalize them a second time.
+        let vectors: Vec<Vec<f32>> = random_vectors(120, 16, 5)
+            .into_iter()
+            .map(|v| v.iter().map(|x| x * 3.0).collect())
+            .collect();
+        let keep = |id: u32| id % 3 != 1;
+        let mut full = Hnsw::new(HnswParams::default());
+        let mut fresh = Hnsw::new(HnswParams::default());
+        for (i, v) in vectors.iter().enumerate() {
+            full.add(i as u32, v.clone());
+            if keep(i as u32) {
+                fresh.add(i as u32, v.clone());
+            }
+        }
+        let rebuilt = full.rebuilt(keep);
+        assert_eq!(
+            rebuilt.ids().collect::<Vec<_>>(),
+            fresh.ids().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            crate::snapshot::encode(&rebuilt),
+            crate::snapshot::encode(&fresh)
+        );
     }
 
     #[test]

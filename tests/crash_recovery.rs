@@ -12,6 +12,10 @@
 //! * The bit-rot test corrupts the newest checkpoint on disk and
 //!   asserts recovery falls back one manifest generation and replays a
 //!   longer WAL tail without losing data.
+//! * The reclaim sweep repeats the crash sweep over a script of
+//!   re-upserts whose dead vectors cross the index's rebuild threshold
+//!   between two checkpoints: recovered and uninterrupted runs must
+//!   rebuild the vector graphs at the same message.
 //!
 //! The default matrix covers two fixed seeds; CI fans out further via
 //! the `UNIASK_TEST_SEED` environment variable.
@@ -28,6 +32,7 @@ use uniask::core::ingestion::IngestMessage;
 use uniask::corpus::generator::CorpusGenerator;
 use uniask::corpus::kb::KbDocument;
 use uniask::corpus::scale::CorpusScale;
+use uniask::search::hybrid::IndexStats;
 use uniask::store::checkpoint::CheckpointConfig;
 use uniask::store::vfs::{CrashPlan, MemVfs, Vfs};
 use uniask::store::wal::WalConfig;
@@ -55,11 +60,15 @@ fn durability_config(checkpoint_every: u64) -> DurabilityConfig {
 }
 
 fn docs() -> Vec<KbDocument> {
-    let kb = CorpusGenerator::new(CorpusScale::tiny(), 11).generate();
-    kb.documents.into_iter().take(8).collect()
+    pages(8)
 }
 
-/// The ingest script the whole suite replays: initial upserts, two
+fn pages(n: usize) -> Vec<KbDocument> {
+    let kb = CorpusGenerator::new(CorpusScale::tiny(), 11).generate();
+    kb.documents.into_iter().take(n).collect()
+}
+
+/// The ingest script most of the suite replays: initial upserts, two
 /// in-place edits, two deletions — 12 messages total.
 fn script() -> Vec<IngestMessage> {
     let docs = docs();
@@ -73,6 +82,27 @@ fn script() -> Vec<IngestMessage> {
     }
     messages.push(IngestMessage::Delete(docs[2].id.clone()));
     messages.push(IngestMessage::Delete(docs[6].id.clone()));
+    messages
+}
+
+/// Eight initial upserts; unchanged re-upserts and a deletion of
+/// one-chunk pages, each leaving dead vectors, until the graphs are
+/// rebuilt; then the deleted page and two new ones, which add no dead
+/// vector — 15 messages.
+fn reclaim_script() -> Vec<IngestMessage> {
+    let pages = pages(10);
+    let mut messages: Vec<IngestMessage> = pages[..8]
+        .iter()
+        .cloned()
+        .map(IngestMessage::Upsert)
+        .collect();
+    messages.push(IngestMessage::Upsert(pages[1].clone()));
+    messages.push(IngestMessage::Upsert(pages[2].clone()));
+    messages.push(IngestMessage::Delete(pages[4].id.clone()));
+    messages.push(IngestMessage::Upsert(pages[5].clone()));
+    for page in [4, 8, 9] {
+        messages.push(IngestMessage::Upsert(pages[page].clone()));
+    }
     messages
 }
 
@@ -95,44 +125,66 @@ fn footprint(r: &AskResponse) -> Footprint {
     )
 }
 
-fn footprints(app: &UniAsk) -> Vec<Footprint> {
-    questions().iter().map(|q| footprint(&app.ask(q))).collect()
+/// The answers to every question, plus the index's size counters
+/// (live chunks, tombstones, nodes per vector graph).
+fn footprints(app: &UniAsk) -> (Vec<Footprint>, IndexStats) {
+    (
+        questions().iter().map(|q| footprint(&app.ask(q))).collect(),
+        app.index().stats(),
+    )
 }
 
-/// The uninterrupted run every crashed run must converge to
-/// (computed once — the sweep compares against it hundreds of times).
-fn expected_footprints() -> &'static [Footprint] {
-    static EXPECTED: std::sync::OnceLock<Vec<Footprint>> = std::sync::OnceLock::new();
-    EXPECTED.get_or_init(|| {
-        let mut app = UniAsk::new(config());
-        for message in script() {
-            app.apply_update(message);
-        }
-        footprints(&app)
-    })
+/// The uninterrupted run of `script` that every crashed run must
+/// converge to.
+fn uninterrupted(script: fn() -> Vec<IngestMessage>) -> (Vec<Footprint>, IndexStats) {
+    let mut app = UniAsk::new(config());
+    for message in script() {
+        app.apply_update(message);
+    }
+    footprints(&app)
 }
 
-/// Run the full script through the durable pipeline on `vfs`,
+/// [`uninterrupted`] for [`script`] (computed once — the sweep
+/// compares against it hundreds of times).
+fn expected_footprints() -> &'static (Vec<Footprint>, IndexStats) {
+    static EXPECTED: std::sync::OnceLock<(Vec<Footprint>, IndexStats)> = std::sync::OnceLock::new();
+    EXPECTED.get_or_init(|| uninterrupted(script))
+}
+
+/// Run the full `script` through the durable pipeline on `vfs`,
 /// stopping at the first injected crash. Returns how many messages
 /// were logged-and-applied before the crash (all of them if none).
-fn run_script(vfs: &Arc<MemVfs>, checkpoint_every: u64) -> usize {
+fn run_script(
+    script: fn() -> Vec<IngestMessage>,
+    vfs: &Arc<MemVfs>,
+    checkpoint_every: u64,
+) -> usize {
     let (mut app, mut durability, _) = Durability::recover(
         config(),
         Arc::clone(vfs) as Arc<dyn Vfs>,
         durability_config(checkpoint_every),
     )
     .expect("recover on a blank or clean store cannot fail");
-    for (i, message) in script().into_iter().enumerate() {
+    let messages = script();
+    let total = messages.len();
+    for (i, message) in messages.into_iter().enumerate() {
         if durability.log_and_apply(&mut app, message).is_err() {
             return i;
         }
     }
-    script().len()
+    total
 }
 
-/// Restart after a crash, recover, re-feed the unapplied tail, and
-/// assert the answers are byte-identical to the uninterrupted run.
-fn recover_and_verify(vfs: &Arc<MemVfs>, checkpoint_every: u64, context: &str) {
+/// Restart after a crash, recover, re-feed the unapplied tail of
+/// `script`, and assert the answers are byte-identical to `expected`,
+/// its uninterrupted run.
+fn recover_and_verify(
+    script: fn() -> Vec<IngestMessage>,
+    expected: &(Vec<Footprint>, IndexStats),
+    vfs: &Arc<MemVfs>,
+    checkpoint_every: u64,
+    context: &str,
+) {
     let messages = script();
     let (mut app, mut durability, report) = Durability::recover(
         config(),
@@ -153,8 +205,8 @@ fn recover_and_verify(vfs: &Arc<MemVfs>, checkpoint_every: u64, context: &str) {
             .unwrap_or_else(|e| panic!("re-feed failed ({context}): {e}"));
     }
     assert_eq!(
-        footprints(&app),
-        expected_footprints(),
+        &footprints(&app),
+        expected,
         "recovered answers diverge ({context})"
     );
 }
@@ -162,7 +214,7 @@ fn recover_and_verify(vfs: &Arc<MemVfs>, checkpoint_every: u64, context: &str) {
 #[test]
 fn crash_free_durable_run_matches_the_plain_pipeline() {
     let vfs = Arc::new(MemVfs::new());
-    assert_eq!(run_script(&vfs, 4), script().len());
+    assert_eq!(run_script(script, &vfs, 4), script().len());
     let (app, _, report) = Durability::recover(
         config(),
         Arc::clone(&vfs) as Arc<dyn Vfs>,
@@ -170,7 +222,7 @@ fn crash_free_durable_run_matches_the_plain_pipeline() {
     )
     .unwrap();
     assert_eq!(report.last_lsn as usize, script().len());
-    assert_eq!(footprints(&app), expected_footprints());
+    assert_eq!(&footprints(&app), expected_footprints());
 }
 
 #[test]
@@ -178,7 +230,7 @@ fn recovery_is_exact_at_every_crash_point() {
     // Count the mutating operations of a clean run once; the sweep
     // then kills the pipeline at each one of them.
     let clean = Arc::new(MemVfs::new());
-    assert_eq!(run_script(&clean, 4), script().len());
+    assert_eq!(run_script(script, &clean, 4), script().len());
     let total_ops = clean.mutating_ops();
     assert!(total_ops > 20, "expected a rich op trace, got {total_ops}");
 
@@ -189,14 +241,76 @@ fn recovery_is_exact_at_every_crash_point() {
         for op in 0..total_ops {
             let vfs = Arc::new(MemVfs::new());
             vfs.schedule_crash(CrashPlan::seeded(seed, op));
-            let applied = run_script(&vfs, 4);
+            let applied = run_script(script, &vfs, 4);
             assert!(
                 vfs.is_crashed(),
                 "crash at op {op} never fired (applied {applied})"
             );
             vfs.restart(seed);
             vfs.clear_crash();
-            recover_and_verify(&vfs, 4, &format!("seed {seed}, crash at op {op}"));
+            recover_and_verify(
+                script,
+                expected_footprints(),
+                &vfs,
+                4,
+                &format!("seed {seed}, crash at op {op}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn recovery_is_exact_at_every_crash_point_across_a_vector_reclaim() {
+    const EVERY: u64 = 5;
+    // Replay the script uninterrupted. After a rebuild the graphs hold
+    // only live vectors although chunks were removed.
+    let mut app = UniAsk::new(config());
+    let mut history: Vec<IndexStats> = Vec::new();
+    for message in reclaim_script() {
+        app.apply_update(message);
+        history.push(app.index().stats());
+    }
+    let no_dead = |s: &IndexStats| s.tombstones > 0 && s.content_vectors == s.live_chunks;
+    let rebuild = history
+        .iter()
+        .position(no_dead)
+        .expect("the script must rebuild")
+        + 1;
+    let checkpoint = rebuild / EVERY as usize * EVERY as usize;
+    assert!(
+        checkpoint > 0 && rebuild > checkpoint && checkpoint + EVERY as usize <= history.len(),
+        "the rebuild (message {rebuild}) must fall strictly between two checkpoints"
+    );
+    // Recovery from the checkpoint before it must resume the count of
+    // dead vectors that checkpoint holds to rebuild at the same message.
+    // No later message adds a dead vector, so a recovery that missed
+    // the rebuild could not converge through a later one.
+    let before = &history[checkpoint - 1];
+    assert!(before.content_vectors > before.live_chunks);
+    assert!(history[rebuild..].iter().all(no_dead));
+    let expected = uninterrupted(reclaim_script);
+
+    let clean = Arc::new(MemVfs::new());
+    assert_eq!(
+        run_script(reclaim_script, &clean, EVERY),
+        reclaim_script().len()
+    );
+    let total_ops = clean.mutating_ops();
+    for seed in seeds::seeds(&[1, 7]) {
+        for op in 0..total_ops {
+            let vfs = Arc::new(MemVfs::new());
+            vfs.schedule_crash(CrashPlan::seeded(seed, op));
+            run_script(reclaim_script, &vfs, EVERY);
+            assert!(vfs.is_crashed(), "crash at op {op} never fired");
+            vfs.restart(seed);
+            vfs.clear_crash();
+            recover_and_verify(
+                reclaim_script,
+                &expected,
+                &vfs,
+                EVERY,
+                &format!("reclaim script, seed {seed}, crash at op {op}"),
+            );
         }
     }
 }
@@ -232,13 +346,19 @@ fn named_crash_windows_around_a_checkpoint_recover_exactly() {
         for offset in 1..=10 {
             let vfs = Arc::new(MemVfs::new());
             vfs.schedule_crash(plan(base_ops + offset));
-            run_script(&vfs, 4);
+            run_script(script, &vfs, 4);
             if !vfs.is_crashed() {
                 continue; // This offset lies past the window under this plan.
             }
             vfs.restart(0xC0FFEE + offset);
             vfs.clear_crash();
-            recover_and_verify(&vfs, 4, &format!("{label}, offset {offset}"));
+            recover_and_verify(
+                script,
+                expected_footprints(),
+                &vfs,
+                4,
+                &format!("{label}, offset {offset}"),
+            );
         }
     }
 }
@@ -249,13 +369,13 @@ fn torn_final_wal_record_is_discarded_and_refed() {
     // must truncate the half-record and the producer re-feeds it.
     let clean = Arc::new(MemVfs::new());
     // Disable checkpoints so the final ops are exactly the last append.
-    assert_eq!(run_script(&clean, 0), script().len());
+    assert_eq!(run_script(script, &clean, 0), script().len());
     let total_ops = clean.mutating_ops();
 
     let vfs = Arc::new(MemVfs::new());
     // The last message costs two ops (append + sync); tear the append.
     vfs.schedule_crash(CrashPlan::torn(total_ops - 1, 0.4));
-    let applied = run_script(&vfs, 0);
+    let applied = run_script(script, &vfs, 0);
     assert!(vfs.is_crashed());
     assert!(
         applied < script().len(),
@@ -274,7 +394,7 @@ fn torn_final_wal_record_is_discarded_and_refed() {
         (report.last_lsn as usize) < script().len(),
         "the torn final record must not be recovered as applied"
     );
-    recover_and_verify(&vfs, 0, "torn final record");
+    recover_and_verify(script, expected_footprints(), &vfs, 0, "torn final record");
 }
 
 #[test]
@@ -282,7 +402,7 @@ fn corrupt_latest_checkpoint_falls_back_one_generation() {
     // Checkpoint every 3 messages: generations at LSN 3/6/9/12, of
     // which the newest two (watermarks 9 and 12) are retained.
     let vfs = Arc::new(MemVfs::new());
-    assert_eq!(run_script(&vfs, 3), script().len());
+    assert_eq!(run_script(script, &vfs, 3), script().len());
 
     let mut checkpoints: Vec<String> = vfs
         .list("ckpt/")
@@ -311,7 +431,7 @@ fn corrupt_latest_checkpoint_falls_back_one_generation() {
         report.wal_records_replayed
     );
     assert_eq!(report.last_lsn as usize, script().len(), "no data loss");
-    assert_eq!(footprints(&app), expected_footprints());
+    assert_eq!(&footprints(&app), expected_footprints());
     let snapshot = app.monitoring.snapshot();
     assert!(snapshot.recovery_generation > 0);
     assert!(snapshot.wal_replays >= 3);
@@ -360,7 +480,7 @@ fn recovered_index_never_revalidates_pre_crash_cache_generations() {
          generation {pre_crash_generation}, or old cache keys re-validate",
         app.index().generation()
     );
-    assert_eq!(footprints(&app), expected_footprints());
+    assert_eq!(&footprints(&app), expected_footprints());
 
     // A post-recovery mutation must be visible through the cached path:
     // ask → delete the top document → ask again.
