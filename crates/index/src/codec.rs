@@ -23,7 +23,7 @@
 //!                    [tail_max_tf:v | tail_min_len:v]   ← iff ntail > 0
 //! tags:    ndocs:v, per doc: id:v, nvalues:v,
 //!          per value: field-name | kind:u8 | payload
-//! fnv64 checksum of everything above
+//! xxh64 checksum of everything above (seed 0, `uniask_text::checksum`)
 //! ```
 //!
 //! The block-compressed posting layout is persisted *verbatim*: sealed
@@ -43,6 +43,7 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use uniask_text::analyzer::Analyzer;
+use uniask_text::checksum::xxh64;
 
 use crate::doc::{DocId, DocSet, FieldValue};
 use crate::inverted::{InvertedIndex, PostingBlock, PostingList, BLOCK_SIZE};
@@ -51,7 +52,7 @@ use crate::schema::{FieldAttributes, Schema};
 /// Magic bytes of the snapshot format.
 pub const MAGIC: &[u8; 4] = b"UAIX";
 /// Format version; [`decode`] rejects every other version.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Errors raised while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,16 +128,6 @@ fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
     }
     let raw = buf.split_to(len);
     String::from_utf8(raw.to_vec()).map_err(|_| CodecError::InvalidUtf8)
-}
-
-/// FNV-1a over a byte slice (the snapshot checksum).
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ------------------------------------------------------------ encode
@@ -264,7 +255,7 @@ pub fn encode(index: &InvertedIndex) -> Bytes {
     }
 
     // Checksum trailer.
-    let checksum = fnv64(&buf);
+    let checksum = xxh64(&buf, 0);
     buf.put_u64_le(checksum);
     buf.freeze()
 }
@@ -281,7 +272,7 @@ pub fn decode(snapshot: &[u8], analyzer: Arc<dyn Analyzer>) -> Result<InvertedIn
     }
     let (payload, trailer) = snapshot.split_at(snapshot.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if fnv64(payload) != stored {
+    if xxh64(payload, 0) != stored {
         return Err(CodecError::ChecksumMismatch);
     }
     let mut buf = Bytes::copy_from_slice(payload);
@@ -702,7 +693,7 @@ mod tests {
         // Checksum covers the magic, so either error is acceptable; fix
         // the checksum to isolate the magic check.
         let plen = bad.len() - 8;
-        let crc = super::fnv64(&bad[..plen]);
+        let crc = xxh64(&bad[..plen], 0);
         bad[plen..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             decode(&bad, Arc::new(ItalianAnalyzer::new())).unwrap_err(),
@@ -713,13 +704,13 @@ mod tests {
     #[test]
     fn unsupported_version_is_detected() {
         let snapshot = encode(&sample_index());
-        for version in [0u16, 1, 2, 4, 0xFF] {
+        for version in [0u16, 1, 2, 3, 5, 0xFF] {
             let mut bad = snapshot.to_vec();
             bad[4..6].copy_from_slice(&version.to_le_bytes());
             // Re-seal the trailer so the version check (not the
             // checksum) is what rejects it.
             let plen = bad.len() - 8;
-            let crc = super::fnv64(&bad[..plen]);
+            let crc = xxh64(&bad[..plen], 0);
             bad[plen..].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(
                 decode(&bad, Arc::new(ItalianAnalyzer::new())).unwrap_err(),

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use uniask_index::codec as index_codec;
 use uniask_index::doc::{DocId, IndexDocument};
+use uniask_text::checksum::xxh64;
 use uniask_vector::embedding::Embedder;
 use uniask_vector::snapshot as vector_snapshot;
 
@@ -26,23 +27,13 @@ use crate::reranker::SemanticReranker;
 pub const MAGIC: &[u8; 4] = b"UASX";
 /// Format version; [`SearchIndex::load`] rejects every other version.
 ///
-/// An FNV-1a checksum trailer over the whole body rejects torn or
-/// bit-rotted snapshots up front instead of half-parsing them. The
-/// mutation generation (cache-invalidation epoch) is persisted so a
-/// restored index resumes *past* the saved epoch instead of resetting
-/// to 0 — pre-save cache entries can therefore never alias a
-/// post-restore index state.
-pub const VERSION: u16 = 3;
-
-/// FNV-1a over `data` — same checksum the sibling codecs use.
-fn fnv64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// An XXH64 checksum trailer (seed 0, `uniask_text::checksum`) over the
+/// whole body rejects torn or bit-rotted snapshots up front instead of
+/// half-parsing them. The mutation generation (cache-invalidation epoch)
+/// is persisted so a restored index resumes *past* the saved epoch
+/// instead of resetting to 0 — pre-save cache entries can therefore
+/// never alias a post-restore index state.
+pub const VERSION: u16 = 4;
 
 /// Errors raised while restoring a search-index snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,15 +108,43 @@ fn get_str(buf: &mut Bytes) -> Result<String, PersistError> {
 impl SearchIndex {
     /// Serialize the full retrieval state.
     pub fn save(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 << 20);
+        // The vector sections, most of the bytes, are encoded in place;
+        // the small inverted-index section is copied in.
+        let index_section = index_codec::encode(&self.inverted);
+        let graphs = [&self.title_vectors, &self.content_vectors];
+        let graph_lens = graphs.map(vector_snapshot::encoded_len);
+        let summary = |i: usize| {
+            self.store
+                .get(DocId(i as u32))
+                .ok()
+                .and_then(|d| d.text("summary"))
+                .unwrap_or_default()
+        };
+        let table_len: usize = self
+            .chunks
+            .iter()
+            .enumerate()
+            .map(|(i, chunk)| {
+                1 + 4 * 4
+                    + chunk.parent_doc.len()
+                    + chunk.title.len()
+                    + chunk.content.len()
+                    + summary(i).len()
+            })
+            .sum();
+        let sections_len: usize = 3 * 8 + index_section.len() + graph_lens.iter().sum::<usize>();
+        let capacity = 4 + 2 + 8 + sections_len + 4 + table_len + 8;
+        let mut buf = BytesMut::with_capacity(capacity);
         buf.put_slice(MAGIC);
         buf.put_u16_le(VERSION);
-        // v3: the mutation generation travels with the state it
-        // describes, so cache-epoch monotonicity survives a restore.
+        // The mutation generation travels with the state it describes,
+        // so cache-epoch monotonicity survives a restore.
         buf.put_u64_le(self.generation());
-        put_section(&mut buf, &index_codec::encode(&self.inverted));
-        put_section(&mut buf, &vector_snapshot::encode(&self.title_vectors));
-        put_section(&mut buf, &vector_snapshot::encode(&self.content_vectors));
+        put_section(&mut buf, &index_section);
+        for (graph, len) in graphs.into_iter().zip(graph_lens) {
+            buf.put_u64_le(len as u64);
+            vector_snapshot::encode_into(graph, &mut buf);
+        }
         // Chunk metadata table: per chunk, live flag + parent/title/
         // content + the summary needed to rebuild the document store.
         buf.put_u32_le(self.chunks.len() as u32);
@@ -134,16 +153,11 @@ impl SearchIndex {
             put_str(&mut buf, &chunk.parent_doc);
             put_str(&mut buf, &chunk.title);
             put_str(&mut buf, &chunk.content);
-            let summary = self
-                .store
-                .get(DocId(i as u32))
-                .ok()
-                .and_then(|d| d.text("summary").map(str::to_string))
-                .unwrap_or_default();
-            put_str(&mut buf, &summary);
+            put_str(&mut buf, summary(i));
         }
-        let checksum = fnv64(&buf);
+        let checksum = xxh64(&buf, 0);
         buf.put_u64_le(checksum);
+        debug_assert_eq!(buf.len(), capacity, "save sized its buffer exactly");
         buf.freeze()
     }
 
@@ -176,7 +190,7 @@ impl SearchIndex {
         }
         let body_len = snapshot.len() - 8;
         let stored = u64::from_le_bytes(snapshot[body_len..].try_into().expect("8-byte trailer"));
-        if fnv64(&snapshot[..body_len]) != stored {
+        if xxh64(&snapshot[..body_len], 0) != stored {
             return Err(PersistError::ChecksumMismatch);
         }
         buf.truncate(body_len - 6);
@@ -411,13 +425,13 @@ mod tests {
     #[test]
     fn version_below_minimum_is_rejected() {
         let snapshot = sample().save();
-        for version in [1u16, 2] {
+        for version in [1u16, 2, 3] {
             let mut old = snapshot.to_vec();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             // Re-seal the trailer so the version check (not the checksum)
             // is what rejects it.
             let body_len = old.len() - 8;
-            let sum = fnv64(&old[..body_len]).to_le_bytes();
+            let sum = xxh64(&old[..body_len], 0).to_le_bytes();
             old[body_len..].copy_from_slice(&sum);
             assert_eq!(
                 SearchIndex::load(&old, embedder(), SemanticReranker::default()).unwrap_err(),

@@ -6,8 +6,11 @@
 //!
 //! ```text
 //! UACK | version:u8 | generation:u64 LE | wal_watermark:u64 LE
-//!      | payload_len:u64 LE | payload | fnv64(all preceding bytes):u64 LE
+//!      | payload_len:u64 LE | payload | xxh64(all preceding bytes):u64 LE
 //! ```
+//!
+//! The manifest entry records the frame's trailer value as its checksum,
+//! so each frame is hashed once on write and once on recovery.
 //!
 //! Files are written via write-temp → fsync → atomic-rename, then recorded
 //! in a `MANIFEST` that keeps the newest `keep` generations. The manifest
@@ -18,16 +21,16 @@
 //! pruning must therefore use [`CheckpointManager::prune_watermark`], the
 //! *oldest retained* generation's watermark, not the newest.
 
+use crate::checksum::xxh64;
 use crate::vfs::{Vfs, VfsError};
-use crate::wal::fnv64;
 use std::fmt;
 use std::sync::Arc;
 
 const CKPT_MAGIC: &[u8; 4] = b"UACK";
-const CKPT_VERSION: u8 = 1;
+const CKPT_VERSION: u8 = 2;
 const CKPT_HEADER_LEN: usize = 4 + 1 + 8 + 8 + 8;
 const MANIFEST_MAGIC: &[u8; 4] = b"UAMF";
-const MANIFEST_VERSION: u8 = 1;
+const MANIFEST_VERSION: u8 = 2;
 
 /// Errors from checkpoint persistence and recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,9 +136,10 @@ impl CheckpointManager {
         format!("{dir}/{generation:012}.ckpt")
     }
 
-    /// Encode the manifest: magic | version | count:u32 | rows | fnv64.
+    /// Encode the manifest: magic | version | count:u32 | rows | xxh64.
     /// Each row: generation:u64 | watermark:u64 | checksum:u64 | len:u64
-    /// | path_len:u32 | path bytes.
+    /// | path_len:u32 | path bytes, where `checksum` is the checkpoint
+    /// frame's trailer value.
     fn encode_manifest(entries: &[ManifestEntry]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MANIFEST_MAGIC);
@@ -149,7 +153,7 @@ impl CheckpointManager {
             buf.extend_from_slice(&(entry.file.len() as u32).to_le_bytes());
             buf.extend_from_slice(entry.file.as_bytes());
         }
-        let checksum = fnv64(&buf);
+        let checksum = xxh64(&buf, 0);
         buf.extend_from_slice(&checksum.to_le_bytes());
         buf
     }
@@ -161,7 +165,7 @@ impl CheckpointManager {
         }
         let (body, trailer) = data.split_at(data.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().ok()?);
-        if fnv64(body) != stored || &body[..4] != MANIFEST_MAGIC || body[4] != MANIFEST_VERSION {
+        if xxh64(body, 0) != stored || &body[..4] != MANIFEST_MAGIC || body[4] != MANIFEST_VERSION {
             return None;
         }
         let mut offset = 5;
@@ -190,7 +194,8 @@ impl CheckpointManager {
         Some(entries)
     }
 
-    fn encode_checkpoint(generation: u64, wal_watermark: u64, payload: &[u8]) -> Vec<u8> {
+    /// Encode a checkpoint frame; returns it with its trailer value.
+    fn encode_checkpoint(generation: u64, wal_watermark: u64, payload: &[u8]) -> (Vec<u8>, u64) {
         let mut buf = Vec::with_capacity(CKPT_HEADER_LEN + payload.len() + 8);
         buf.extend_from_slice(CKPT_MAGIC);
         buf.push(CKPT_VERSION);
@@ -198,9 +203,9 @@ impl CheckpointManager {
         buf.extend_from_slice(&wal_watermark.to_le_bytes());
         buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         buf.extend_from_slice(payload);
-        let checksum = fnv64(&buf);
+        let checksum = xxh64(&buf, 0);
         buf.extend_from_slice(&checksum.to_le_bytes());
-        buf
+        (buf, checksum)
     }
 
     fn decode_checkpoint(data: &[u8]) -> Option<(u64, u64, Vec<u8>)> {
@@ -209,7 +214,7 @@ impl CheckpointManager {
         }
         let (body, trailer) = data.split_at(data.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().ok()?);
-        if fnv64(body) != stored || &body[..4] != CKPT_MAGIC || body[4] != CKPT_VERSION {
+        if xxh64(body, 0) != stored || &body[..4] != CKPT_MAGIC || body[4] != CKPT_VERSION {
             return None;
         }
         let generation = u64::from_le_bytes(body[5..13].try_into().ok()?);
@@ -234,8 +239,7 @@ impl CheckpointManager {
         let generation = self.next_generation;
         let path = Self::ckpt_path(&self.config.dir, generation);
         let tmp = format!("{path}.tmp");
-        let encoded = Self::encode_checkpoint(generation, wal_watermark, payload);
-        let checksum = fnv64(&encoded);
+        let (encoded, checksum) = Self::encode_checkpoint(generation, wal_watermark, payload);
 
         self.vfs.write_all(&tmp, &encoded)?;
         self.vfs.sync(&tmp)?;
@@ -272,11 +276,13 @@ impl CheckpointManager {
     }
 
     /// Load the newest checkpoint that verifies, walking generations
-    /// newest-first. Corrupt entries are skipped, not fatal.
+    /// newest-first. Corrupt entries are skipped, not fatal. A file must
+    /// have the recorded length and trailer, and its body must hash to
+    /// that trailer.
     pub fn load_latest(&self) -> Result<LoadedCheckpoint, CheckpointError> {
         for (skipped, entry) in self.entries.iter().rev().enumerate() {
             if let Ok(data) = self.vfs.read(&entry.file) {
-                if data.len() as u64 == entry.len && fnv64(&data) == entry.checksum {
+                if data.len() as u64 == entry.len && data.ends_with(&entry.checksum.to_le_bytes()) {
                     if let Some((generation, wal_watermark, payload)) =
                         Self::decode_checkpoint(&data)
                     {
@@ -338,6 +344,77 @@ mod tests {
                 keep,
             },
         )
+    }
+
+    /// Re-seal a frame or manifest after editing its body, so a header
+    /// check (not the checksum) is what rejects it.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let sum = xxh64(&bytes[..body], 0);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn unsupported_checkpoint_version_is_rejected() {
+        let (frame, _) = CheckpointManager::encode_checkpoint(3, 7, b"payload");
+        assert!(CheckpointManager::decode_checkpoint(&frame).is_some());
+        // 1 is the previous (FNV-1a) version.
+        for version in [0u8, 1, 3, 0xFF] {
+            let mut bad = frame.clone();
+            bad[4] = version;
+            reseal(&mut bad);
+            assert!(
+                CheckpointManager::decode_checkpoint(&bad).is_none(),
+                "version {version}"
+            );
+        }
+    }
+
+    #[test]
+    fn unsupported_manifest_version_is_rejected() {
+        let vfs = MemVfs::new();
+        let mut mgr = manager(&vfs, 2);
+        mgr.write(b"snap", 1).unwrap();
+        let good = vfs.read("ckpt/MANIFEST").unwrap();
+        for version in [0u8, 1, 3, 0xFF] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            reseal(&mut bad);
+            vfs.write_all("ckpt/MANIFEST", &bad).unwrap();
+            assert!(manager(&vfs, 2).entries().is_empty(), "version {version}");
+        }
+    }
+
+    #[test]
+    fn manifest_checksum_is_the_frame_trailer() {
+        let vfs = MemVfs::new();
+        let mut mgr = manager(&vfs, 2);
+        mgr.write(b"old-snapshot", 3).unwrap();
+        mgr.write(b"new-snapshot", 8).unwrap();
+        let latest = mgr.entries()[1].clone();
+        let frame = vfs.read(&latest.file).unwrap();
+        assert_eq!(frame[frame.len() - 8..], latest.checksum.to_le_bytes());
+        // A rotted trailer no longer matches the manifest: fall back.
+        assert!(vfs.flip_byte(&latest.file, frame.len() - 1));
+        let loaded = manager(&vfs, 2).load_latest().unwrap();
+        assert_eq!(loaded.payload, b"old-snapshot");
+        assert_eq!(loaded.generations_skipped, 1);
+    }
+
+    #[test]
+    fn a_valid_frame_the_manifest_did_not_record_is_skipped() {
+        let vfs = MemVfs::new();
+        let mut mgr = manager(&vfs, 2);
+        mgr.write(b"old-snapshot", 3).unwrap();
+        mgr.write(b"new-snapshot", 8).unwrap();
+        // Same generation, watermark and length, intact on its own, but
+        // not the bytes the manifest recorded.
+        let (foreign, _) = CheckpointManager::encode_checkpoint(1, 8, b"NEW-snapshot");
+        vfs.write_all("ckpt/000000000001.ckpt", &foreign).unwrap();
+        vfs.sync("ckpt/000000000001.ckpt").unwrap();
+        let loaded = manager(&vfs, 2).load_latest().unwrap();
+        assert_eq!(loaded.payload, b"old-snapshot");
+        assert_eq!(loaded.generations_skipped, 1);
     }
 
     #[test]

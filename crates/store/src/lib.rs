@@ -11,6 +11,7 @@
 //! run byte-for-byte.
 
 pub mod checkpoint;
+pub mod checksum;
 pub mod vfs;
 pub mod wal;
 

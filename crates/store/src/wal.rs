@@ -8,8 +8,9 @@
 //! len:u32 LE | lsn:u64 LE | checksum:u64 LE | payload (len bytes)
 //! ```
 //!
-//! where `checksum = fnv64(lsn LE bytes || payload)`. LSNs are assigned
-//! by the caller and must be strictly increasing.
+//! where `checksum = xxh64(payload, seed = lsn)`, so the checksum covers
+//! the LSN without copying the record. LSNs are assigned by the caller
+//! and must be strictly increasing.
 //!
 //! Recovery semantics: [`Wal::open`] scans every segment in order and
 //! verifies each record's frame and checksum. The first short, torn, or
@@ -18,31 +19,20 @@
 //! segment is truncated back to the last valid record so new appends
 //! never interleave with garbage.
 
+use crate::checksum::xxh64;
 use crate::vfs::{Vfs, VfsError};
 use std::sync::Arc;
 
 const SEG_MAGIC: &[u8; 4] = b"UAWL";
-const SEG_VERSION: u8 = 1;
+const SEG_VERSION: u8 = 2;
 const SEG_HEADER_LEN: usize = 4 + 1 + 8;
 const FRAME_HEADER_LEN: usize = 4 + 8 + 8;
 /// Upper bound on a single record payload; anything larger is treated as
 /// frame corruption rather than an allocation request.
 const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
-pub(crate) fn fnv64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn record_checksum(lsn: u64, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&lsn.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv64(&buf)
+    xxh64(payload, lsn)
 }
 
 /// WAL tuning knobs.
@@ -514,6 +504,43 @@ mod tests {
         let (_, recovery) = reopen(&vfs, 64);
         let kept: Vec<u64> = recovery.records.iter().map(|r| r.lsn).collect();
         assert_eq!(kept, (2..8).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn lsn_is_covered_by_the_checksum() {
+        let vfs = MemVfs::new();
+        let mut w = wal(&vfs, 1 << 20);
+        w.append(7, b"record").unwrap();
+        let path = vfs.list("wal/")[0].clone();
+        let good = vfs.read(&path).unwrap();
+        for offset in SEG_HEADER_LEN + 4..SEG_HEADER_LEN + 12 {
+            let mut bad = good.clone();
+            bad[offset] ^= 0x01;
+            vfs.write_all(&path, &bad).unwrap();
+            vfs.sync(&path).unwrap();
+            let (_, recovery) = reopen(&vfs, 1 << 20);
+            assert!(recovery.records.is_empty(), "lsn byte {offset}");
+        }
+    }
+
+    #[test]
+    fn unsupported_segment_version_is_rejected() {
+        let vfs = MemVfs::new();
+        let mut w = wal(&vfs, 1 << 20);
+        w.append(0, b"record").unwrap();
+        let path = vfs.list("wal/")[0].clone();
+        let good = vfs.read(&path).unwrap();
+        assert_eq!(reopen(&vfs, 1 << 20).1.records.len(), 1);
+        // 1 is the previous (FNV-1a) version.
+        for version in [0u8, 1, 3, 0xFF] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            vfs.write_all(&path, &bad).unwrap();
+            vfs.sync(&path).unwrap();
+            let (_, recovery) = reopen(&vfs, 1 << 20);
+            assert!(recovery.records.is_empty(), "version {version}");
+            assert_eq!(recovery.segments_discarded, 1, "version {version}");
+        }
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! (ROUGE-L, Jaccard), approximate token counting, a minimal HTML parser,
 //! and the two document chunking strategies evaluated in the paper
 //! (a recursive character splitter and the HTML-paragraph splitter that
-//! shipped in production).
+//! shipped in production), and the XXH64 checksum that seals the index,
+//! vector and search snapshots.
 //!
 //! Everything in this crate is deterministic and allocation-conscious:
 //! analyzers can be reused across documents and reuse internal buffers
 //! where practical.
 
 pub mod analyzer;
+pub mod checksum;
 pub mod concepts;
 pub mod english;
 pub mod html;

@@ -3,8 +3,8 @@
 //! Embedding a corpus is the most expensive part of index construction
 //! (the paper's full KB holds ~60 k pages × two vector fields), so the
 //! graph and its vectors are persisted rather than rebuilt. The format
-//! mirrors the inverted-index codec: magic, version, payload, FNV-64
-//! checksum trailer.
+//! mirrors the inverted-index codec: magic, version, payload, XXH64
+//! checksum trailer (seed 0, `uniask_text::checksum`).
 //!
 //! The RNG state for level assignment is serialized too, so an index
 //! restored from a snapshot keeps inserting with the *same* level
@@ -19,13 +19,14 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use uniask_text::checksum::xxh64;
 
 use crate::hnsw::{Hnsw, HnswParams, Node, Sq8Codebook, Sq8State};
 
 /// Magic bytes of the vector-snapshot format.
 pub const MAGIC: &[u8; 4] = b"UAVX";
 /// Format version; [`decode`] rejects every other version.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Errors raised while decoding a vector snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,18 +54,48 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Exact size of [`encode`]'s output, so a buffer is allocated once.
+pub fn encoded_len(index: &Hnsw) -> usize {
+    let header = 4 + 2 + 4 * 3 + 8 + 1 + 1 + 4 + 1 + 16 + 4;
+    let entry_point = if index.entry_point.is_some() { 4 } else { 0 };
+    let nodes: usize = index
+        .nodes
+        .iter()
+        .map(|node| {
+            let layers: usize = node.neighbors.iter().map(|l| 4 + l.len() * 4).sum();
+            4 + 4 + node.vector.len() * 4 + 2 + layers
+        })
+        .sum();
+    let sq8 = index.sq8.as_ref().map_or(0, |state| {
+        4 + (state.codebook.min.len() + state.codebook.step.len()) * 4 + state.codes.len()
+    });
+    header + entry_point + nodes + 1 + sq8 + 8
+}
+
+/// Append `values` as little-endian `f32`s a block at a time: vectors
+/// are most of a snapshot's bytes, and a `put_f32_le` call per value
+/// costs more than copying the value.
+fn put_f32s(buf: &mut BytesMut, values: &[f32]) {
+    let mut block = [0u8; 256];
+    for chunk in values.chunks(block.len() / 4) {
+        for (bytes, value) in block.chunks_exact_mut(4).zip(chunk) {
+            bytes.copy_from_slice(&value.to_le_bytes());
+        }
+        buf.put_slice(&block[..chunk.len() * 4]);
     }
-    h
 }
 
 /// Serialize an HNSW index.
 pub fn encode(index: &Hnsw) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4096 + index.nodes.len() * 64);
+    let mut buf = BytesMut::with_capacity(encoded_len(index));
+    encode_into(index, &mut buf);
+    buf.freeze()
+}
+
+/// Append exactly [`encode`]'s bytes to `buf`, so a snapshot embedded in
+/// a larger buffer is written in place rather than copied into it.
+pub fn encode_into(index: &Hnsw, buf: &mut BytesMut) {
+    let start = buf.len();
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     // Parameters.
@@ -93,9 +124,7 @@ pub fn encode(index: &Hnsw) -> Bytes {
     for node in &index.nodes {
         buf.put_u32_le(node.id);
         buf.put_u32_le(node.vector.len() as u32);
-        for &x in &node.vector {
-            buf.put_f32_le(x);
-        }
+        put_f32s(buf, &node.vector);
         buf.put_u16_le(node.neighbors.len() as u16);
         for layer in &node.neighbors {
             buf.put_u32_le(layer.len() as u32);
@@ -104,24 +133,19 @@ pub fn encode(index: &Hnsw) -> Bytes {
             }
         }
     }
-    // SQ8 quantization state (v2): codebook + code arena verbatim.
+    // SQ8 quantization state: codebook + code arena verbatim.
     match &index.sq8 {
         Some(state) => {
             buf.put_u8(1);
             buf.put_u32_le(state.dim as u32);
-            for &m in &state.codebook.min {
-                buf.put_f32_le(m);
-            }
-            for &st in &state.codebook.step {
-                buf.put_f32_le(st);
-            }
+            put_f32s(buf, &state.codebook.min);
+            put_f32s(buf, &state.codebook.step);
             buf.put_slice(&state.codes);
         }
         None => buf.put_u8(0),
     }
-    let checksum = fnv64(&buf);
+    let checksum = xxh64(&buf[start..], 0);
     buf.put_u64_le(checksum);
-    buf.freeze()
 }
 
 macro_rules! need {
@@ -139,7 +163,7 @@ pub fn decode(snapshot: &[u8]) -> Result<Hnsw, SnapshotError> {
     }
     let (payload, trailer) = snapshot.split_at(snapshot.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if fnv64(payload) != stored {
+    if xxh64(payload, 0) != stored {
         return Err(SnapshotError::ChecksumMismatch);
     }
     let mut buf = Bytes::copy_from_slice(payload);
@@ -324,15 +348,26 @@ mod tests {
     }
 
     #[test]
+    fn encoded_len_is_exact() {
+        let plain = Hnsw::new(HnswParams {
+            sq8: false,
+            ..Default::default()
+        });
+        for index in [sample(0), sample(1), sample(150), plain] {
+            assert_eq!(encode(&index).len(), encoded_len(&index));
+        }
+    }
+
+    #[test]
     fn unsupported_version_is_detected() {
         let snapshot = encode(&sample(20));
-        for version in [0u16, 1, 3] {
+        for version in [0u16, 1, 2, 4] {
             let mut bad = snapshot.to_vec();
             bad[4..6].copy_from_slice(&version.to_le_bytes());
             // Re-seal the trailer so the version check (not the
             // checksum) is what rejects it.
             let plen = bad.len() - 8;
-            let crc = fnv64(&bad[..plen]);
+            let crc = xxh64(&bad[..plen], 0);
             bad[plen..].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(
                 decode(&bad).unwrap_err(),

@@ -4,8 +4,8 @@
 #   ./scripts/tier1.sh
 #
 # Builds the workspace in release mode, runs the full test suite, smokes
-# the repository benchmark (so a signature it depends on cannot change
-# unnoticed), checks the memory floors and lints the whole workspace
+# the repository benchmark and its traced binary on every workload (so a
+# signature it depends on cannot change unnoticed), checks the memory floors and lints the whole workspace
 # with clippy at -D warnings. Needs no network: every external crate is
 # patched to its stand-in and Cargo.lock is complete.
 
@@ -29,6 +29,14 @@ cargo build --release --locked --offline --manifest-path benchmark/Cargo.toml --
 
 echo "==> benchmark smoke (builds against the product API, runs its correctness checks)"
 bash benchmark/run.sh --smoke
+
+# The traced binary takes one workload at a time. Running it executes
+# the staged replays and layer probes (checkpoint, save, recover) that
+# the gated smoke above does not, and checks what they return.
+for workload in ask_cold ask_hot ingest_bulk live_update; do
+    echo "==> traced benchmark smoke ($workload)"
+    bash benchmark/run.sh --trace 1 --smoke --workload "$workload"
+done
 
 echo "==> memory footprint floors (10k-doc corpus)"
 cargo test --release -q --locked --offline --test memory_footprint -- --ignored --nocapture
